@@ -20,7 +20,9 @@
 //!   the container table; down nodes host nothing.
 //! * **Dispatch safety** — only warm containers execute (never dead or
 //!   cold-starting ones), local queues respect batch sizes, and the
-//!   free-slot index agrees with actual container occupancy.
+//!   free-slot index holds exactly the live containers with free slots,
+//!   each once, in the bucket of its actual free-slot count and under its
+//!   node's current selection rank.
 //! * **Counter reconciliation** — the decision trace's lifetime counters
 //!   (spawns, kills, failures, requeues, drops) reconcile with the
 //!   driver's totals that end up in the [`SimResult`](crate::SimResult).
@@ -37,11 +39,13 @@
 //! local conservation) and merged in index order, so the worker count
 //! never changes the violation list.
 
+use crate::cluster::Node;
 use crate::container::{Container, ContainerState};
 use crate::driver::Simulation;
 use crate::engine::{partition_ranges, EngineQueue, Event};
-use crate::stage::StageRuntime;
+use crate::stage::{selection_rank, StageRuntime};
 use fifer_core::resources::ResourceVec;
+use fifer_core::scheduling::ContainerSelection;
 use fifer_metrics::SimTime;
 
 /// On the serial engine, deep scans run every this-many audited events;
@@ -318,12 +322,13 @@ impl Simulation<'_> {
             }
         }
 
+        let selection = self.cfg.rm.container_selection;
         let listed = if par {
             let stages = &self.stages;
             let containers = &self.containers;
             let ranges = partition_ranges(stages.len(), self.par_workers);
             let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                scan_stages(&stages[r.clone()], r.start, containers)
+                scan_stages(&stages[r.clone()], r.start, containers, nodes, selection)
             });
             let mut listed = 0usize;
             for (msgs, n) in parts {
@@ -332,7 +337,7 @@ impl Simulation<'_> {
             }
             listed
         } else {
-            let (msgs, listed) = scan_stages(&self.stages, 0, &self.containers);
+            let (msgs, listed) = scan_stages(&self.stages, 0, &self.containers, nodes, selection);
             out.extend(msgs);
             listed
         };
@@ -481,11 +486,14 @@ fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan 
 
 /// Per-stage index/ledger checks over `stages[base..base + stages.len()]`
 /// of the stage table; returns the violation messages and the number of
-/// stage-listed containers seen.
+/// stage-listed containers seen. `selection` decides the free-slot index
+/// rank each container must be keyed under.
 fn scan_stages(
     stages: &[StageRuntime],
     base: usize,
     containers: &[Container],
+    nodes: &[Node],
+    selection: ContainerSelection,
 ) -> (Vec<String>, usize) {
     let mut out = Vec::new();
     let mut listed = 0usize;
@@ -495,6 +503,7 @@ fn scan_stages(
         let mut stage_exec = 0usize;
         let mut stage_alloc = ResourceVec::ZERO;
         let mut stage_used = ResourceVec::ZERO;
+        let mut with_free = 0usize;
         let mut seen = std::collections::BTreeSet::new();
         for &id in &s.containers {
             if !seen.insert(id) {
@@ -508,6 +517,7 @@ fn scan_stages(
                 continue;
             }
             free += c.free_slots();
+            with_free += usize::from(c.free_slots() > 0);
             stage_exec += usize::from(c.executing.is_some());
             stage_alloc += c.alloc;
             stage_used += c.current_usage();
@@ -518,6 +528,37 @@ fn scan_stages(
                 "stage {sidx}: free-slot index {} != scan {}",
                 s.total_free_slots(),
                 free
+            ));
+        }
+        // the index holds only live containers of this stage, each in the
+        // bucket of its free-slot count under its node's current rank; with
+        // one entry per container that has free slots, none is missing or
+        // doubled (a key is unique per (bucket, rank, id))
+        let mut entries = 0usize;
+        for (f, rank, id) in s.free_entries() {
+            entries += 1;
+            let Some(c) = containers.get(id as usize) else {
+                out.push(format!(
+                    "stage {sidx}: free-slot index holds unknown container {id}"
+                ));
+                continue;
+            };
+            let expected = selection_rank(selection, nodes[c.node].pods);
+            if !c.is_alive() || c.stage != sidx || c.free_slots() != f || rank != expected {
+                out.push(format!(
+                    "stage {sidx}: free-slot index holds container {id} in bucket {f} at rank \
+                     {rank}, but it is a {} container of stage {} with {} free slots at rank \
+                     {expected}",
+                    if c.is_alive() { "live" } else { "dead" },
+                    c.stage,
+                    c.free_slots()
+                ));
+            }
+        }
+        if entries != with_free {
+            out.push(format!(
+                "stage {sidx}: free-slot index holds {entries} entries but {with_free} \
+                 containers have free slots"
             ));
         }
         if stage_exec != s.executing {
@@ -564,6 +605,7 @@ fn scan_stages(
 mod tests {
     use crate::config::SimConfig;
     use crate::driver::Simulation;
+    use fifer_core::policy::DecisionCause;
     use fifer_core::rm::RmKind;
     use fifer_metrics::{SimDuration, SimTime};
     use fifer_workloads::{JobStream, PoissonTrace, WorkloadMix};
@@ -648,6 +690,42 @@ mod tests {
         assert!(
             msgs.iter().any(|m| m.contains("lease balance")),
             "expected the lease-balance check to fire: {msgs:?}"
+        );
+    }
+
+    #[test]
+    fn corrupted_free_index_rank_is_detected() {
+        let stream = jobs();
+        let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 5.0);
+        cfg.audit = true;
+        let mut s = Simulation::new(cfg, &stream);
+        // greedy selection: bin-packed spawns share a node, and the first
+        // container is re-keyed when the second one lands
+        let spawn = |s: &mut Simulation<'_>| {
+            s.spawn_container(0, SimTime::ZERO, DecisionCause::Arrival)
+                .expect("an empty cluster has room")
+        };
+        let first = spawn(&mut s);
+        let second = spawn(&mut s);
+        let node = s.containers[second as usize].node;
+        assert_eq!(s.containers[first as usize].node, node);
+        assert_eq!(s.containers[first as usize].rank, 2);
+        let mut msgs = Vec::new();
+        s.check_deep(&mut msgs);
+        assert!(msgs.is_empty(), "clean spawns flagged: {msgs:?}");
+        // mis-rank one entry: the index moves it, the node's pod count
+        // does not back the move
+        let (free, rank) = {
+            let c = &s.containers[second as usize];
+            (c.free_slots(), c.rank)
+        };
+        s.stages[0].rerank_free(second, free, rank, rank + 1);
+        s.check_deep(&mut msgs);
+        assert!(
+            msgs.iter().any(|m| m.contains(&format!(
+                "holds container {second} in bucket {free} at rank 3"
+            ))),
+            "expected the free-slot index check to fire: {msgs:?}"
         );
     }
 

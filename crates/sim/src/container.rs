@@ -99,6 +99,10 @@ pub struct Container {
     pub stage: usize,
     /// Node hosting this container.
     pub node: usize,
+    /// Rank this container is keyed under in its stage's free-slot index
+    /// (its node's pod count under greedy selection, else 0). The driver
+    /// re-keys it whenever the node's pod count changes.
+    pub rank: usize,
     /// Maximum requests held at once (executing + queued).
     pub batch_size: usize,
     /// Lifecycle state.
@@ -149,6 +153,7 @@ impl Container {
             id,
             stage,
             node,
+            rank: 0,
             batch_size,
             state: ContainerState::ColdStarting {
                 warm_at: now + cold_start,

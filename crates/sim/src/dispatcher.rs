@@ -29,7 +29,7 @@ impl Simulation<'_> {
         let mut bound = 0usize;
 
         while !self.stages[sidx].queue.is_empty() {
-            let target = match self.pick_target(sidx, selection) {
+            let target = match self.stages[sidx].pick_container(selection) {
                 Some(t) => t,
                 None => {
                     // queue blocked: no free slot anywhere — ask the policy
@@ -107,7 +107,7 @@ impl Simulation<'_> {
                 assigned: now,
                 retries: task.retries,
             });
-            self.stages[sidx].update_free(target, prev_free, prev_free - 1);
+            self.stages[sidx].update_free(target, c.rank, prev_free, prev_free - 1);
             self.try_start(target, now);
             bound += 1;
         }
@@ -122,31 +122,6 @@ impl Simulation<'_> {
             });
         }
         bound
-    }
-
-    /// Picks the container to receive the next task. For the greedy
-    /// least-free-slots policy, ties break toward the container on the
-    /// most-packed node (then lowest id): concentrating traffic lets
-    /// containers on straggler nodes idle out, completing the server
-    /// consolidation §4.4 aims for. Other policies use the index order.
-    pub(crate) fn pick_target(
-        &self,
-        sidx: usize,
-        selection: fifer_core::scheduling::ContainerSelection,
-    ) -> Option<u64> {
-        use fifer_core::scheduling::ContainerSelection::GreedyLeastFreeSlots;
-        if selection == GreedyLeastFreeSlots {
-            let bucket = self.stages[sidx].least_free_bucket()?;
-            bucket
-                .iter()
-                .max_by_key(|&&id| {
-                    let node = self.containers[id as usize].node;
-                    (self.cluster.nodes()[node].pods, std::cmp::Reverse(id))
-                })
-                .copied()
-        } else {
-            self.stages[sidx].pick_container(selection)
-        }
     }
 
     /// Starts the container's next local task if it is warm and idle.

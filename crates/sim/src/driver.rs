@@ -79,6 +79,10 @@ pub struct Simulation<'a> {
     pub(crate) rm: Box<dyn ResourceManager>,
     /// Per-node set of microservice images already pulled (layer cache).
     pub(crate) image_cache: Vec<std::collections::BTreeSet<Microservice>>,
+    /// Live container ids per node, in id (= spawn) order: the containers
+    /// to re-key when the node's pod count changes, and a node outage's
+    /// victims.
+    pub(crate) node_containers: Vec<Vec<u64>>,
     pub(crate) sampler: WindowSampler,
     pub(crate) meter: EnergyMeter,
     pub(crate) store: StatsStore,
@@ -266,6 +270,7 @@ impl<'a> Simulation<'a> {
             jobs,
             rm,
             image_cache: vec![std::collections::BTreeSet::new(); cfg.cluster.nodes],
+            node_containers: vec![Vec::new(); cfg.cluster.nodes],
             sampler: WindowSampler::paper_default(),
             meter,
             store: StatsStore::paper_default(),
@@ -531,7 +536,7 @@ impl<'a> Simulation<'a> {
         let node = c.node;
         let task = c.finish_executing(now);
         let free_after = c.free_slots();
-        self.stages[sidx].update_free(cid, free_after - 1, free_after);
+        self.stages[sidx].update_free(cid, c.rank, free_after - 1, free_after);
         self.stages[sidx].executing -= 1;
         self.cluster.set_executing(node, -1);
         self.stages[sidx].tasks_executed += 1;
@@ -649,13 +654,9 @@ impl<'a> Simulation<'a> {
             return; // overlapping outage windows: the node is already down
         }
         // snapshot the victims before killing them, in container-id order
-        // (the order `on_node_down` documents)
-        let victims: Vec<u64> = self
-            .containers
-            .iter()
-            .filter(|c| c.is_alive() && c.node == node)
-            .map(|c| c.id)
-            .collect();
+        // (the order `on_node_down` documents): the node's live list is
+        // appended at spawn, so it is already sorted
+        let victims = self.node_containers[node].clone();
         let lost_views: Vec<ContainerView> = victims
             .iter()
             .map(|&id| {

@@ -182,38 +182,54 @@ impl FaultPlan {
             || !self.outages.is_empty()
     }
 
-    /// Validates the plan against a cluster of `nodes` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range probabilities, a sub-unity straggler factor,
-    /// or malformed outage windows.
-    pub fn validate(&self, nodes: usize) {
+    /// Checks the plan against a cluster of `nodes` nodes, naming the first
+    /// problem found: an out-of-range probability, a sub-unity straggler
+    /// factor, a zero spawn-fault latency with spawn faults on, or an
+    /// outage on a missing node or with an empty window.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
         for (name, p) in [
             ("spawn_fail_prob", self.spawn_fail_prob),
             ("crash_prob", self.crash_prob),
             ("straggler_prob", self.straggler_prob),
         ] {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "fault {name} must be in [0, 1], got {p}"
-            );
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("fault {name} must be in [0, 1], got {p}"));
+            }
         }
-        assert!(
-            self.straggler_factor >= 1.0 && self.straggler_factor.is_finite(),
-            "straggler factor must be a finite multiplier ≥ 1"
-        );
-        assert!(
-            self.spawn_fail_prob == 0.0 || !self.spawn_fail_latency.is_zero(),
-            "spawn-fault latency must be positive when spawn faults are on"
-        );
+        if !(self.straggler_factor >= 1.0 && self.straggler_factor.is_finite()) {
+            return Err(format!(
+                "straggler factor must be a finite multiplier ≥ 1, got {}",
+                self.straggler_factor
+            ));
+        }
+        if self.spawn_fail_prob > 0.0 && self.spawn_fail_latency.is_zero() {
+            return Err("spawn-fault latency must be positive when spawn faults are on".into());
+        }
         for o in &self.outages {
-            assert!(o.node < nodes, "outage node {} out of range", o.node);
-            assert!(
-                o.up_at > o.down_at,
-                "outage on node {} must recover after it starts",
-                o.node
-            );
+            if o.node >= nodes {
+                return Err(format!(
+                    "outage node {} out of range (the cluster has {nodes} nodes)",
+                    o.node
+                ));
+            }
+            if o.up_at <= o.down_at {
+                return Err(format!(
+                    "outage on node {} must recover after it starts",
+                    o.node
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Validates the plan against a cluster of `nodes` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`FaultPlan::check`]'s message when the plan is invalid.
+    pub fn validate(&self, nodes: usize) {
+        if let Err(e) = self.check(nodes) {
+            panic!("{e}");
         }
     }
 
@@ -388,6 +404,24 @@ mod tests {
             up_at: SimTime::from_secs(5),
         });
         p.validate(1);
+    }
+
+    #[test]
+    fn check_names_the_problem_without_panicking() {
+        let mut p = FaultPlan::none();
+        assert_eq!(p.check(1), Ok(()));
+        p.crash_prob = 1.5;
+        assert!(p.check(1).is_err_and(|e| e.contains("crash_prob")));
+        p.crash_prob = 0.5;
+        p.outages.push(NodeOutage {
+            node: 999,
+            down_at: SimTime::from_secs(100),
+            up_at: SimTime::from_secs(160),
+        });
+        assert!(p
+            .check(5)
+            .is_err_and(|e| e.contains("outage node 999 out of range")));
+        assert_eq!(p.check(1000), Ok(()));
     }
 
     #[test]

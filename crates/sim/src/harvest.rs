@@ -115,7 +115,7 @@ impl Simulation<'_> {
             self.containers[p.lender as usize].lent = p.amount;
         }
         self.cluster.borrow(node, request, now);
-        self.cluster.place(node, ResourceVec::ZERO, now);
+        self.place_pod(node, ResourceVec::ZERO, now);
         self.harvest_spawns += 1;
         self.leases_created += 1;
         self.trace.harvest_spawns += 1;
@@ -313,6 +313,7 @@ impl Simulation<'_> {
             let lost = c.fail();
             (c.stage, c.node, prev_free, exec_until, lost, alloc, usage)
         };
+        self.unlist_container(cid, prev_free);
         if let Some(until) = exec_until {
             // refund the interrupted task's unexecuted remainder, exactly
             // like the crash path
@@ -325,9 +326,7 @@ impl Simulation<'_> {
         self.stages[sidx].used -= usage;
         self.stages[sidx].allocated -= alloc;
         self.dissolve_borrower(cid, now);
-        self.cluster.release(node, alloc, now);
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
+        self.release_pod(node, alloc, now);
         self.live_count -= 1;
         self.live_series.push(now, self.live_count as f64);
         self.store.access(StoreOp::ContainerStats);

@@ -12,7 +12,7 @@ use crate::container::{BoundTask, Container, UsageProfile};
 use crate::driver::Simulation;
 use crate::engine::Event;
 use crate::fault::FaultKind;
-use crate::stage::StageTask;
+use crate::stage::{selection_rank, StageTask};
 use crate::stats_store::StoreOp;
 use crate::trace::SimEvent;
 use fifer_core::policy::DecisionCause;
@@ -54,6 +54,60 @@ impl Simulation<'_> {
         }
     }
 
+    /// Places one pod on `node` (see [`Cluster::place`]) and re-keys the
+    /// node's live containers under its new pod count.
+    ///
+    /// [`Cluster::place`]: crate::cluster::Cluster::place
+    pub(crate) fn place_pod(&mut self, node: usize, alloc: ResourceVec, now: SimTime) {
+        self.cluster.place(node, alloc, now);
+        self.rerank_node(node);
+    }
+
+    /// Releases one pod from `node` (see [`Cluster::release`]) and re-keys
+    /// the node's remaining live containers under its new pod count.
+    ///
+    /// [`Cluster::release`]: crate::cluster::Cluster::release
+    pub(crate) fn release_pod(&mut self, node: usize, alloc: ResourceVec, now: SimTime) {
+        self.cluster.release(node, alloc, now);
+        self.rerank_node(node);
+    }
+
+    /// The free-slot index rank of a container on `node` right now.
+    fn node_rank(&self, node: usize) -> usize {
+        selection_rank(
+            self.cfg.rm.container_selection,
+            self.cluster.nodes()[node].pods,
+        )
+    }
+
+    /// Moves every live container on `node` to the free-slot index rank
+    /// its node's current pod count gives it. A node holds at most a few
+    /// dozen containers, and this runs only on spawn and kill, so greedy
+    /// dispatch stays a single index lookup. Under the non-greedy
+    /// policies every rank is 0 and nothing moves.
+    fn rerank_node(&mut self, node: usize) {
+        let rank = self.node_rank(node);
+        for &cid in &self.node_containers[node] {
+            let c = &mut self.containers[cid as usize];
+            if c.rank != rank {
+                self.stages[c.stage].rerank_free(cid, c.free_slots(), c.rank, rank);
+                c.rank = rank;
+            }
+        }
+    }
+
+    /// Drops a container that just died from its stage's free-slot index
+    /// and container list and from its node's live list, before any of
+    /// its resources are released. `prev_free` is its free-slot count
+    /// before it died.
+    pub(crate) fn unlist_container(&mut self, cid: u64, prev_free: usize) {
+        let c = &self.containers[cid as usize];
+        let stage = &mut self.stages[c.stage];
+        stage.remove_free(cid, c.rank, prev_free);
+        stage.containers.retain(|&id| id != cid);
+        self.node_containers[c.node].retain(|&id| id != cid);
+    }
+
     /// The allocation request and usage profile the next container spawned
     /// for `sidx` will carry. The request is the stage's spawn shape (the
     /// right-sizer's override, else the cluster default), floored at the
@@ -91,7 +145,7 @@ impl Simulation<'_> {
             });
             return None;
         };
-        self.cluster.place(node, request, now);
+        self.place_pod(node, request, now);
         let shape = SpawnShape {
             alloc: request,
             borrowed: ResourceVec::ZERO,
@@ -133,15 +187,18 @@ impl Simulation<'_> {
         // ±10% cold-start jitter around the image-size model
         let jitter = 0.9 + self.rng.gen_range(0.0..0.2);
         let cold = base.mul_f64(jitter);
+        let rank = self.node_rank(node);
         let stage = &mut self.stages[sidx];
         let id = self.containers.len() as u64;
         let mut c = Container::spawn(id, sidx, node, stage.batch_size, now, cold);
+        c.rank = rank;
         c.alloc = alloc;
         c.borrowed = borrowed;
         c.usage = profile;
         self.containers.push(c);
+        self.node_containers[node].push(id);
         stage.containers.push(id);
-        stage.update_free(id, 0, stage.batch_size);
+        stage.update_free(id, rank, 0, stage.batch_size);
         stage.containers_spawned += 1;
         stage.allocated += alloc;
         stage.used += profile.idle;
@@ -201,6 +258,7 @@ impl Simulation<'_> {
                 c.stage, c.node, prev_free, exec_until, lost, alloc, borrowed, lent, usage,
             )
         };
+        self.unlist_container(cid, prev_free);
         if let Some(until) = exec_until {
             // the interrupted task (always first out of `fail`): undo its
             // in-flight accounting. Its full exec time was charged at
@@ -218,14 +276,12 @@ impl Simulation<'_> {
             // a dead borrower's lease dissolves: parts flow back to lenders
             self.dissolve_borrower(cid, now);
         }
-        self.cluster.release(node, alloc, now);
+        self.release_pod(node, alloc, now);
         if !lent.is_zero() {
             // a dead lender always re-backs its part: releasing its own
             // allocation freed at least as much as it had lent
             self.settle_dead_lender(cid, now);
         }
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
         self.live_count -= 1;
         self.live_series.push(now, self.live_count as f64);
         self.container_failures += 1;
@@ -342,18 +398,17 @@ impl Simulation<'_> {
             c.kill();
             (c.stage, c.node, prev_free, alloc, borrowed, lent, usage)
         };
+        self.unlist_container(cid, prev_free);
         self.cluster.sub_usage(node, usage, now);
         self.stages[sidx].used -= usage;
         self.stages[sidx].allocated -= alloc;
         if !borrowed.is_zero() {
             self.dissolve_borrower(cid, now);
         }
-        self.cluster.release(node, alloc, now);
+        self.release_pod(node, alloc, now);
         if !lent.is_zero() {
             self.settle_dead_lender(cid, now);
         }
-        self.stages[sidx].remove_free(cid, prev_free);
-        self.stages[sidx].containers.retain(|&id| id != cid);
         self.live_count -= 1;
         self.live_series.push(now, self.live_count as f64);
         self.store.access(StoreOp::ContainerStats);

@@ -48,9 +48,11 @@ pub struct SimResult {
     /// Total containers spawned (= cold starts incurred; every spawn cold
     /// starts in a serverless platform, §2.2.1).
     pub total_spawns: u64,
-    /// Spawns whose cold start delayed at least one request (reactive
-    /// spawns on the critical path). Proactive spawns that warmed before
-    /// any request arrived do not count.
+    /// Task starts delayed by a cold start: counted once per task that
+    /// was bound to a still-cold container and waited for it to warm, so
+    /// one spawn that delays a whole batch counts once per task and this
+    /// can exceed `total_spawns`. Proactive spawns that warmed before any
+    /// task was bound to them add nothing.
     pub blocking_cold_starts: u64,
     /// Spawn attempts rejected because the cluster was full.
     pub failed_spawns: u64,

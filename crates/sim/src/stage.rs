@@ -16,11 +16,24 @@
 //! the whole queue per dispatched task.
 
 use fifer_core::resources::ResourceVec;
-use fifer_core::scheduling::{QueuedTask, SchedulingPolicy};
+use fifer_core::scheduling::{ContainerSelection, QueuedTask, SchedulingPolicy};
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_workloads::Microservice;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+
+/// The rank a container is keyed under in its stage's free-slot index:
+/// the pod count of its node under greedy selection (so ties break toward
+/// the most-packed node), 0 under the other policies (plain id order).
+pub(crate) fn selection_rank(selection: ContainerSelection, node_pods: usize) -> usize {
+    match selection {
+        ContainerSelection::GreedyLeastFreeSlots => node_pods,
+        ContainerSelection::FirstFit | ContainerSelection::MostFreeSlots => 0,
+    }
+}
+
+/// A free-slot index entry: higher selection rank first, then lower id.
+type FreeKey = (Reverse<usize>, u64);
 
 /// A task waiting in a stage's global queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,11 +241,12 @@ pub struct StageRuntime {
     pub queue: IndexedTaskQueue,
     /// Containers (ids) currently serving this stage, dead ones pruned.
     pub containers: Vec<u64>,
-    /// Free-slot index: `free_buckets[f]` holds the ids of this stage's
-    /// containers with exactly `f` free slots (1 ≤ f ≤ batch_size). Kept
-    /// in sync by the driver so container selection is O(log C) instead of
-    /// a full scan per dispatched task.
-    free_buckets: Vec<std::collections::BTreeSet<u64>>,
+    /// Free-slot index: `free_buckets[f]` holds this stage's containers
+    /// with exactly `f` free slots (1 ≤ f ≤ batch_size), keyed by
+    /// `(Reverse(rank), id)` with the rank from [`selection_rank`]. Kept in
+    /// sync by the driver so container selection is one O(log C) lookup
+    /// instead of a scan per dispatched task.
+    free_buckets: Vec<BTreeSet<FreeKey>>,
     /// Free slots across all buckets, maintained incrementally so the
     /// reactive scaler's waiting-count is O(1) instead of a bucket walk.
     free_slots_total: usize,
@@ -291,7 +305,7 @@ impl StageRuntime {
             cold_start,
             queue: IndexedTaskQueue::new(policy),
             containers: Vec::new(),
-            free_buckets: vec![std::collections::BTreeSet::new(); batch_size + 1],
+            free_buckets: vec![BTreeSet::new(); batch_size + 1],
             free_slots_total: 0,
             executing: 0,
             recent_delays: VecDeque::new(),
@@ -373,65 +387,73 @@ impl StageRuntime {
 
     // ---- free-slot index -------------------------------------------------
 
-    /// Records that container `id` now has `free` free slots (0 removes it
-    /// from the index). `prev_free` must be its previously recorded count.
-    pub fn update_free(&mut self, id: u64, prev_free: usize, free: usize) {
-        if prev_free > 0 {
-            self.free_buckets[prev_free].remove(&id);
-            self.free_slots_total -= prev_free;
-        }
+    /// Records that container `id`, indexed under `rank`, now has `free`
+    /// free slots (0 removes it from the index). `prev_free` must be its
+    /// previously recorded count.
+    pub fn update_free(&mut self, id: u64, rank: usize, prev_free: usize, free: usize) {
+        self.remove_free(id, rank, prev_free);
         if free > 0 {
-            self.free_buckets[free].insert(id);
+            self.free_buckets[free].insert((Reverse(rank), id));
             self.free_slots_total += free;
         }
     }
 
-    /// Removes container `id` from the index entirely (kill/evict).
-    pub fn remove_free(&mut self, id: u64, prev_free: usize) {
+    /// Removes container `id` (indexed under `rank` with `prev_free` free
+    /// slots) from the index entirely (kill/evict).
+    pub fn remove_free(&mut self, id: u64, rank: usize, prev_free: usize) {
         if prev_free > 0 {
-            self.free_buckets[prev_free].remove(&id);
+            let removed = self.free_buckets[prev_free].remove(&(Reverse(rank), id));
+            debug_assert!(removed, "container {id} not indexed at {prev_free}/{rank}");
             self.free_slots_total -= prev_free;
         }
     }
 
-    /// Picks a container per the selection policy, or `None` when every
-    /// container is full.
-    ///
-    /// This is the O(log C) bucket-indexed counterpart of
-    /// [`fifer_core::scheduling::select_container`] (which stays the
-    /// reference implementation over explicit candidate lists); the driver
-    /// layers a node-packing tie-break on top for the greedy policy. The
-    /// three sites are deliberately separate: the core function defines
-    /// the policy, this index makes it cheap, the driver adds placement
-    /// awareness the core cannot see.
-    ///
-    /// * Greedy least-free-slots: lowest non-empty bucket, lowest id.
-    /// * First-fit: lowest id across all buckets.
-    /// * Most-free-slots: highest non-empty bucket, lowest id.
-    pub fn pick_container(
-        &self,
-        policy: fifer_core::scheduling::ContainerSelection,
-    ) -> Option<u64> {
-        use fifer_core::scheduling::ContainerSelection::*;
-        match policy {
-            GreedyLeastFreeSlots => self.free_buckets.iter().find_map(|b| b.first().copied()),
-            MostFreeSlots => self
-                .free_buckets
-                .iter()
-                .rev()
-                .find_map(|b| b.first().copied()),
-            FirstFit => self
-                .free_buckets
-                .iter()
-                .filter_map(|b| b.first().copied())
-                .min(),
+    /// Re-keys container `id`, which has `free` free slots, from rank `old`
+    /// to rank `new` (its node's pod count changed).
+    pub(crate) fn rerank_free(&mut self, id: u64, free: usize, old: usize, new: usize) {
+        if free > 0 && old != new {
+            let bucket = &mut self.free_buckets[free];
+            let removed = bucket.remove(&(Reverse(old), id));
+            debug_assert!(removed, "container {id} not indexed at {free}/{old}");
+            bucket.insert((Reverse(new), id));
         }
     }
 
-    /// The non-empty bucket with the fewest free slots, for callers that
-    /// apply their own tie-break among equally loaded containers.
-    pub fn least_free_bucket(&self) -> Option<&std::collections::BTreeSet<u64>> {
-        self.free_buckets.iter().find(|b| !b.is_empty())
+    /// Picks a container per the selection policy, or `None` when every
+    /// container is full: one O(log C) lookup, with no tie-break left for
+    /// the caller.
+    ///
+    /// This is the indexed counterpart of
+    /// [`fifer_core::scheduling::select_container`], which stays the
+    /// reference over explicit candidate lists. Within a bucket, entries
+    /// are ordered by rank (higher first), then id. Under greedy selection
+    /// the driver ranks every container by its node's pod count and
+    /// re-keys a node's containers whenever that count changes, so the
+    /// index itself encodes the node-packing tie-break: concentrating
+    /// traffic on the most-packed node lets containers on lightly used
+    /// nodes idle out, the server consolidation §4.4 aims for. The other
+    /// policies rank every container 0, leaving plain id order.
+    ///
+    /// * Greedy least-free-slots: lowest non-empty bucket, most pods on
+    ///   the node, lowest id.
+    /// * First-fit: lowest id across all buckets.
+    /// * Most-free-slots: highest non-empty bucket, lowest id.
+    pub fn pick_container(&self, policy: ContainerSelection) -> Option<u64> {
+        let first_id = |b: &BTreeSet<FreeKey>| b.first().map(|&(_, id)| id);
+        match policy {
+            ContainerSelection::GreedyLeastFreeSlots => self.free_buckets.iter().find_map(first_id),
+            ContainerSelection::MostFreeSlots => self.free_buckets.iter().rev().find_map(first_id),
+            ContainerSelection::FirstFit => self.free_buckets.iter().filter_map(first_id).min(),
+        }
+    }
+
+    /// Every index entry as `(free slots, rank, id)`, bucket by bucket —
+    /// what the auditor reconciles against the container table.
+    pub(crate) fn free_entries(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.free_buckets
+            .iter()
+            .enumerate()
+            .flat_map(|(f, b)| b.iter().map(move |&(Reverse(rank), id)| (f, rank, id)))
     }
 
     /// Total free slots across the stage's containers (O(1), maintained on
@@ -559,18 +581,18 @@ mod tests {
     fn free_index_tracks_transitions() {
         use fifer_core::scheduling::ContainerSelection::*;
         let mut s = stage(); // batch 4
-        s.update_free(10, 0, 4); // fresh container, 4 free
-        s.update_free(11, 0, 2);
+        s.update_free(10, 0, 0, 4); // fresh container, 4 free
+        s.update_free(11, 0, 0, 2);
         assert_eq!(s.pick_container(GreedyLeastFreeSlots), Some(11));
         assert_eq!(s.pick_container(MostFreeSlots), Some(10));
         assert_eq!(s.pick_container(FirstFit), Some(10));
         assert_eq!(s.total_free_slots(), 6);
         // 11 fills up
-        s.update_free(11, 2, 0);
+        s.update_free(11, 0, 2, 0);
         assert_eq!(s.pick_container(GreedyLeastFreeSlots), Some(10));
         assert_eq!(s.total_free_slots(), 4);
         // 10 dies
-        s.remove_free(10, 4);
+        s.remove_free(10, 0, 4);
         assert_eq!(s.pick_container(GreedyLeastFreeSlots), None);
         assert_eq!(s.total_free_slots(), 0);
     }
@@ -579,9 +601,25 @@ mod tests {
     fn free_index_greedy_tie_breaks_by_id() {
         use fifer_core::scheduling::ContainerSelection::GreedyLeastFreeSlots;
         let mut s = stage();
-        s.update_free(7, 0, 2);
-        s.update_free(3, 0, 2);
+        s.update_free(7, 0, 0, 2);
+        s.update_free(3, 0, 0, 2);
         assert_eq!(s.pick_container(GreedyLeastFreeSlots), Some(3));
+    }
+
+    #[test]
+    fn free_index_greedy_prefers_higher_rank_within_a_bucket() {
+        use fifer_core::scheduling::ContainerSelection::GreedyLeastFreeSlots;
+        let mut s = stage();
+        s.update_free(3, 1, 0, 2); // node with 1 pod
+        s.update_free(7, 5, 0, 2); // node with 5 pods: wins the tie
+        s.update_free(9, 8, 0, 3); // more packed, but more free slots
+        assert_eq!(s.pick_container(GreedyLeastFreeSlots), Some(7));
+        // 7's node empties out below 3's: the re-keyed index follows
+        s.rerank_free(7, 2, 5, 0);
+        assert_eq!(s.pick_container(GreedyLeastFreeSlots), Some(3));
+        assert_eq!(s.total_free_slots(), 7, "re-keying moves no slots");
+        let entries: Vec<_> = s.free_entries().collect();
+        assert_eq!(entries, vec![(2, 1, 3), (2, 0, 7), (3, 8, 9)]);
     }
 
     #[test]
@@ -596,6 +634,224 @@ mod tests {
             ms(56),
             SimDuration::from_secs(4),
         );
+    }
+
+    // ---- selection differential ----------------------------------------
+
+    /// A container as the selection model sees it.
+    #[derive(Debug, Clone, Copy)]
+    struct ModelContainer {
+        id: u64,
+        stage: usize,
+        node: usize,
+        free: usize,
+        alive: bool,
+        /// Pod count of its node when it was last (re-)keyed.
+        keyed_pods: usize,
+    }
+
+    /// Brute-force reference for [`StageRuntime::pick_container`]: a scan
+    /// over the stage's live containers with free slots. Greedy takes the
+    /// fewest free slots, then the most pods on the node, then the lowest
+    /// id; first-fit the lowest id; most-free the most free slots, then
+    /// the lowest id.
+    fn oracle_pick(
+        policy: ContainerSelection,
+        stage: usize,
+        containers: &[ModelContainer],
+        pods: &[usize],
+    ) -> Option<u64> {
+        let usable = containers
+            .iter()
+            .filter(|c| c.alive && c.stage == stage && c.free > 0);
+        match policy {
+            ContainerSelection::GreedyLeastFreeSlots => {
+                usable.min_by_key(|c| (c.free, Reverse(pods[c.node]), c.id))
+            }
+            ContainerSelection::FirstFit => usable.min_by_key(|c| c.id),
+            ContainerSelection::MostFreeSlots => usable.min_by_key(|c| (Reverse(c.free), c.id)),
+        }
+        .map(|c| c.id)
+    }
+
+    const MODEL_NODES: usize = 4;
+    const MODEL_BATCHES: [usize; 3] = [1, 3, 5];
+
+    /// Drives one free-slot index per (policy, stage) through the same
+    /// update protocol the driver follows: index at spawn under the
+    /// node's new pod count, re-key a node's live containers whenever its
+    /// pod count changes, update on bind/finish, remove on kill.
+    struct SelectionModel {
+        pods: [usize; MODEL_NODES],
+        /// Pods on each node that belong to no modelled container (other
+        /// stages' pods, as far as these indexes can tell).
+        foreign: [usize; MODEL_NODES],
+        containers: Vec<ModelContainer>,
+        index: Vec<Vec<StageRuntime>>,
+    }
+
+    impl SelectionModel {
+        fn new() -> Self {
+            let stage_with = |batch| {
+                StageRuntime::new(
+                    Microservice::Asr,
+                    SchedulingPolicy::Fifo,
+                    batch,
+                    ms(400),
+                    ms(350),
+                    ms(46),
+                    SimDuration::from_secs(5),
+                )
+            };
+            SelectionModel {
+                pods: [0; MODEL_NODES],
+                foreign: [0; MODEL_NODES],
+                containers: Vec::new(),
+                index: ContainerSelection::ALL
+                    .iter()
+                    .map(|_| MODEL_BATCHES.iter().map(|&b| stage_with(b)).collect())
+                    .collect(),
+            }
+        }
+
+        fn set_pods(&mut self, node: usize, pods: usize) {
+            self.pods[node] = pods;
+            for c in self
+                .containers
+                .iter_mut()
+                .filter(|c| c.alive && c.node == node)
+            {
+                for (p, &policy) in ContainerSelection::ALL.iter().enumerate() {
+                    self.index[p][c.stage].rerank_free(
+                        c.id,
+                        c.free,
+                        selection_rank(policy, c.keyed_pods),
+                        selection_rank(policy, pods),
+                    );
+                }
+                c.keyed_pods = pods;
+            }
+        }
+
+        fn spawn(&mut self, stage: usize, node: usize) {
+            self.set_pods(node, self.pods[node] + 1);
+            let id = self.containers.len() as u64;
+            let free = MODEL_BATCHES[stage];
+            for (p, &policy) in ContainerSelection::ALL.iter().enumerate() {
+                self.index[p][stage].update_free(
+                    id,
+                    selection_rank(policy, self.pods[node]),
+                    0,
+                    free,
+                );
+            }
+            self.containers.push(ModelContainer {
+                id,
+                stage,
+                node,
+                free,
+                alive: true,
+                keyed_pods: self.pods[node],
+            });
+        }
+
+        fn kill(&mut self, i: usize) {
+            self.containers[i].alive = false;
+            let c = self.containers[i];
+            for (p, &policy) in ContainerSelection::ALL.iter().enumerate() {
+                self.index[p][c.stage].remove_free(
+                    c.id,
+                    selection_rank(policy, c.keyed_pods),
+                    c.free,
+                );
+            }
+            self.set_pods(c.node, self.pods[c.node] - 1);
+        }
+
+        fn set_free(&mut self, i: usize, free: usize) {
+            let c = &mut self.containers[i];
+            for (p, &policy) in ContainerSelection::ALL.iter().enumerate() {
+                self.index[p][c.stage].update_free(
+                    c.id,
+                    selection_rank(policy, c.keyed_pods),
+                    c.free,
+                    free,
+                );
+            }
+            c.free = free;
+        }
+
+        /// Applies op `(kind, a, b)`; ops with no eligible target are no-ops.
+        fn apply(&mut self, (kind, a, b): (u8, usize, usize)) {
+            let pick = |cs: &[ModelContainer], ok: &dyn Fn(&ModelContainer) -> bool| {
+                let eligible: Vec<usize> = (0..cs.len()).filter(|&i| ok(&cs[i])).collect();
+                (!eligible.is_empty()).then(|| eligible[a % eligible.len()])
+            };
+            match kind {
+                0 | 1 => self.spawn(a % MODEL_BATCHES.len(), b % MODEL_NODES),
+                2 => {
+                    if let Some(i) = pick(&self.containers, &|c| c.alive) {
+                        self.kill(i);
+                    }
+                }
+                3 | 4 => {
+                    if let Some(i) = pick(&self.containers, &|c| c.alive && c.free > 0) {
+                        self.set_free(i, self.containers[i].free - 1);
+                    }
+                }
+                5 => {
+                    let full = |c: &ModelContainer| c.alive && c.free < MODEL_BATCHES[c.stage];
+                    if let Some(i) = pick(&self.containers, &full) {
+                        self.set_free(i, self.containers[i].free + 1);
+                    }
+                }
+                _ => {
+                    let node = a % MODEL_NODES;
+                    if b % 2 == 0 {
+                        self.foreign[node] += 1;
+                        self.set_pods(node, self.pods[node] + 1);
+                    } else if self.foreign[node] > 0 {
+                        self.foreign[node] -= 1;
+                        self.set_pods(node, self.pods[node] - 1);
+                    }
+                }
+            }
+        }
+
+        fn assert_matches_oracle(&self, step: usize) {
+            for (p, &policy) in ContainerSelection::ALL.iter().enumerate() {
+                for (sidx, stage) in self.index[p].iter().enumerate() {
+                    assert_eq!(
+                        stage.pick_container(policy),
+                        oracle_pick(policy, sidx, &self.containers, &self.pods),
+                        "{policy:?}, stage {sidx}, after step {step}"
+                    );
+                    let free: usize = self
+                        .containers
+                        .iter()
+                        .filter(|c| c.alive && c.stage == sidx)
+                        .map(|c| c.free)
+                        .sum();
+                    assert_eq!(stage.total_free_slots(), free);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random spawn / kill / bind / finish / pod-count sequences over
+        /// several nodes and stages: after every step the indexed pick
+        /// equals the brute-force scan under all three policies.
+        #[test]
+        fn pick_container_agrees_with_brute_force_oracle(
+            ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..160),
+        ) {
+            let mut model = SelectionModel::new();
+            for (step, &op) in ops.iter().enumerate() {
+                model.apply(op);
+                model.assert_matches_oracle(step);
+            }
+        }
     }
 
     // ---- IndexedTaskQueue ------------------------------------------------

@@ -12,6 +12,7 @@
 
 use fifer::prelude::*;
 use fifer::sim::driver::window_max_series;
+use fifer::sim::ClusterConfig;
 use fifer::workloads::io as wio;
 use std::process::exit;
 
@@ -222,6 +223,32 @@ fn parse_args() -> Args {
     }
     if !(0.0..=1.0).contains(&args.early_exit) {
         eprintln!("error: --early-exit must be in [0, 1]");
+        usage()
+    }
+    if !(args.rate.is_finite() && args.rate > 0.0) {
+        eprintln!(
+            "error: --rate must be a positive request rate, got {}",
+            args.rate
+        );
+        usage()
+    }
+    if args.workload == "azure" {
+        if args.apps == 0 {
+            eprintln!("error: --apps must be at least 1 with --workload azure");
+            usage()
+        }
+        if !(args.tail_exp.is_finite() && args.tail_exp > 0.0) {
+            eprintln!("error: --tail-exp must be positive, got {}", args.tail_exp);
+            usage()
+        }
+    }
+    let cluster = if args.large {
+        ClusterConfig::large_scale()
+    } else {
+        ClusterConfig::prototype()
+    };
+    if let Err(e) = args.faults.check(cluster.nodes) {
+        eprintln!("error: --faults: {e}");
         usage()
     }
     args

@@ -327,6 +327,58 @@ fn malformed_fault_spec_is_rejected() {
     assert!(err.contains("unknown fault key"), "{err}");
 }
 
+/// Runs the CLI on `args` and asserts a named error (`needle` in stderr)
+/// with the usage exit code 2 — never a panic (exit 101).
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = fifer().args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(
+        err.contains(needle),
+        "{args:?}: expected {needle:?} in {err}"
+    );
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn zero_rate_is_a_named_error() {
+    assert_rejected(&["--rate", "0"], "--rate must be a positive request rate");
+}
+
+#[test]
+fn negative_rate_is_a_named_error() {
+    assert_rejected(&["--rate", "-5"], "--rate must be a positive request rate");
+}
+
+#[test]
+fn azure_with_zero_apps_is_a_named_error() {
+    assert_rejected(
+        &["--workload", "azure", "--apps", "0"],
+        "--apps must be at least 1",
+    );
+}
+
+#[test]
+fn azure_with_negative_tail_exponent_is_a_named_error() {
+    assert_rejected(
+        &["--workload", "azure", "--tail-exp", "-1"],
+        "--tail-exp must be positive",
+    );
+}
+
+#[test]
+fn out_of_range_crash_probability_is_a_named_error() {
+    assert_rejected(&["--faults", "crash=1.5"], "crash_prob must be in [0, 1]");
+}
+
+#[test]
+fn outage_on_a_missing_node_is_a_named_error() {
+    assert_rejected(
+        &["--faults", "outage=999@100+60"],
+        "outage node 999 out of range",
+    );
+}
+
 #[test]
 fn replay_of_missing_file_fails_cleanly() {
     let out = fifer()
