@@ -1,14 +1,13 @@
 //! Criterion benchmarks for the NN substrate underneath the neural
 //! predictors: the matvec kernels (reference vs write-into vs the
-//! column-major mirror the LSTM hot path uses), one LstmCell forward
-//! step, a full forward+backward+Adam round, and an end-to-end
-//! `train_epochs` round on both NN paths — the microscope behind the
-//! `nn` section of `BENCH_simulator.json`.
+//! register-tiled column-major kernel the LSTM hot path uses), the
+//! LstmCell sequence forward and backward over a 20-step window, a full
+//! forward+backward+Adam round, and an end-to-end `train_epochs` round
+//! on both NN paths — the microscope behind the `nn` section of
+//! `BENCH_simulator.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fifer_predict::nn::{
-    matvec, matvec_colmajor_into, matvec_into, transpose_into, LstmCell, LstmState,
-};
+use fifer_predict::nn::{matvec, matvec_colmajor_into, matvec_into, transpose_into, LstmCell};
 use fifer_predict::train::TrainConfig;
 use fifer_predict::{LoadPredictor, LstmPredictor};
 use rand::rngs::StdRng;
@@ -40,36 +39,30 @@ fn bench_matvec(c: &mut Criterion) {
     g.finish();
 }
 
-fn cell_inputs(steps: usize, input: usize) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(5);
-    (0..steps)
-        .map(|_| (0..input).map(|_| rng.gen_range(-1.0..1.0)).collect())
-        .collect()
-}
-
 fn bench_lstm_cell(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut cell = LstmCell::new(1, COLS, 1e-2, &mut rng);
-    let xs = cell_inputs(20, 1);
+    let xs: Vec<f64> = (0..20).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let dh_seq = vec![0.01; 20 * COLS];
-    let mut state = LstmState::zeros(COLS);
 
     let mut g = c.benchmark_group("lstm_cell_h32");
-    g.bench_function("forward_step", |b| {
+    g.bench_function("forward_seq20", |b| {
         b.iter(|| {
-            state.reset();
-            cell.forward_step_into(black_box(&xs[0]), &mut state);
+            cell.forward_seq(black_box(&xs));
             cell.clear_cache();
         })
     });
-    g.bench_function("forward20_backward_adam", |b| {
+    g.bench_function("forward_backward_seq20", |b| {
+        b.iter(|| {
+            cell.forward_seq(black_box(&xs));
+            cell.backward_seq(black_box(&dh_seq), None);
+        })
+    });
+    g.bench_function("forward_backward_seq20_adam", |b| {
         let mut t = 0u64;
         b.iter(|| {
-            state.reset();
-            for x in &xs {
-                cell.forward_step_into(black_box(x), &mut state);
-            }
-            cell.backward_flat(black_box(&dh_seq), None);
+            cell.forward_seq(black_box(&xs));
+            cell.backward_seq(black_box(&dh_seq), None);
             t += 1;
             cell.apply_grads(t);
         })

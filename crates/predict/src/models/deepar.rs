@@ -37,8 +37,6 @@ pub struct DeepArPredictor {
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
     norm_buf: Vec<f64>,
-    /// Reusable recurrent state.
-    state: LstmState,
     /// Scratch: head output `(μ, log σ)`.
     head_out: Vec<f64>,
     /// Scratch: dL/dh at the last timestep.
@@ -64,7 +62,6 @@ impl DeepArPredictor {
             use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
-            state: LstmState::zeros(hidden),
             head_out: vec![0.0; 2],
             dh_last: vec![0.0; hidden],
             dh_flat: Vec::new(),
@@ -107,15 +104,14 @@ impl DeepArPredictor {
         (mu, sigma, h)
     }
 
-    /// Optimized forward: advances the reusable state through the flat
-    /// workspace and evaluates the head in place. Leaves the final hidden
-    /// vector in `self.state.h`. Bit-identical to [`run`](Self::run).
+    /// Optimized forward: runs the window through
+    /// [`LstmCell::forward_seq`] and evaluates the head in place on the
+    /// final hidden vector ([`LstmCell::last_hidden`]). Bit-identical to
+    /// [`run`](Self::run).
     fn run_flat(&mut self, x: &[f64], for_training: bool) -> (f64, f64) {
-        self.state.reset();
-        for &v in x {
-            self.cell.forward_step_into(&[v], &mut self.state);
-        }
-        self.head.forward_into(&self.state.h, &mut self.head_out);
+        self.cell.forward_seq(x);
+        self.head
+            .forward_into(self.cell.last_hidden(), &mut self.head_out);
         let mu = self.head_out[0];
         let sigma = self.head_out[1].clamp(-6.0, 3.0).exp();
         if !for_training {
@@ -143,12 +139,15 @@ impl DeepArPredictor {
                 let z = (target - mu) / sigma;
                 let dmu = -z / sigma;
                 let dlog_sigma = 1.0 - z * z;
-                self.head
-                    .backward_into(&self.state.h, &[dmu, dlog_sigma], &mut self.dh_last);
+                self.head.backward_into(
+                    self.cell.last_hidden(),
+                    &[dmu, dlog_sigma],
+                    &mut self.dh_last,
+                );
                 self.dh_flat.clear();
                 self.dh_flat.resize(x.len() * hidden, 0.0);
                 self.dh_flat[(x.len() - 1) * hidden..].copy_from_slice(&self.dh_last);
-                self.cell.backward_flat(&self.dh_flat, None);
+                self.cell.backward_seq(&self.dh_flat, None);
             }
             self.train_step += 1;
             let t = self.train_step;

@@ -47,18 +47,11 @@ pub struct LstmPredictor {
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
     norm_buf: Vec<f64>,
-    /// Scratch: current layer's input sequence, `steps × in_dim` flat.
-    in_flat: Vec<f64>,
-    /// Scratch: current layer's hidden sequence, ping-ponged with
-    /// `in_flat` between layers.
-    out_flat: Vec<f64>,
     /// Scratch: flat `steps × hidden` loss gradient for the layer being
     /// backpropagated.
     dh_flat: Vec<f64>,
     /// Scratch: flat input gradient, ping-ponged with `dh_flat`.
     dx_flat: Vec<f64>,
-    /// Reusable per-layer recurrent states.
-    states: Vec<LstmState>,
     /// Scratch: head output (length 1).
     head_out: Vec<f64>,
     /// Scratch: head input gradient (length `hidden`).
@@ -84,10 +77,6 @@ impl LstmPredictor {
         }
         LstmPredictor {
             head: Dense::new(hidden, 1, cfg.lr, &mut rng),
-            states: layers
-                .iter()
-                .map(|c| LstmState::zeros(c.hidden()))
-                .collect(),
             layers,
             scaler: Scaler::fit(&[]),
             window: LagWindow::new(cfg.lags),
@@ -102,8 +91,6 @@ impl LstmPredictor {
             use_reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
-            in_flat: Vec::new(),
-            out_flat: Vec::new(),
             dh_flat: Vec::new(),
             dx_flat: Vec::new(),
             head_out: vec![0.0; 1],
@@ -221,7 +208,7 @@ impl LstmPredictor {
             for i in 0..norm.len() - lags {
                 let y = self.forward_flat(&norm[i..i + lags], true);
                 let derr = 2.0 * (y - norm[i + lags]);
-                self.backward_flat_stack(derr, lags);
+                self.backward_flat_stack(derr);
                 self.apply_all_grads();
             }
         }
@@ -403,28 +390,21 @@ impl LstmPredictor {
         (per_layer_h, y)
     }
 
-    /// Optimized stack forward over the flat ping-pong buffers. Leaves the
-    /// top layer's hidden sequence in `in_flat` (`steps × hidden`) for
-    /// [`backward_flat_stack`](Self::backward_flat_stack). Allocation-free
-    /// in steady state; bit-identical to [`run_stack`](Self::run_stack).
+    /// Optimized stack forward: each layer runs the whole window in one
+    /// [`LstmCell::forward_seq`] call on the hidden sequence of the layer
+    /// below, which stays cached for
+    /// [`backward_flat_stack`](Self::backward_flat_stack).
+    /// Allocation-free in steady state; bit-identical to
+    /// [`run_stack`](Self::run_stack).
     fn forward_flat(&mut self, x: &[f64], for_training: bool) -> f64 {
-        let steps = x.len();
-        self.in_flat.clear();
-        self.in_flat.extend_from_slice(x);
-        for (l, cell) in self.layers.iter_mut().enumerate() {
-            let in_dim = cell.input();
-            let state = &mut self.states[l];
-            state.reset();
-            self.out_flat.clear();
-            for t in 0..steps {
-                cell.forward_step_into(&self.in_flat[t * in_dim..(t + 1) * in_dim], state);
-                self.out_flat.extend_from_slice(&state.h);
-            }
-            std::mem::swap(&mut self.in_flat, &mut self.out_flat);
+        for l in 0..self.layers.len() {
+            let (below, rest) = self.layers.split_at_mut(l);
+            let input = below.last().map_or(x, |cell| cell.hidden_seq());
+            rest[0].forward_seq(input);
         }
-        let hidden = self.states.last().map_or(0, |s| s.h.len());
-        let last_h = &self.in_flat[(steps - 1) * hidden..steps * hidden];
-        self.head.forward_into(last_h, &mut self.head_out);
+        let top = self.layers.last().expect("at least one layer");
+        self.head
+            .forward_into(top.last_hidden(), &mut self.head_out);
         let y = self.head_out[0];
         if !for_training {
             for cell in self.layers.iter_mut() {
@@ -435,24 +415,24 @@ impl LstmPredictor {
     }
 
     /// Optimized stack BPTT: seeds the loss at the last timestep of the
-    /// top layer (whose hidden sequence [`forward_flat`](Self::forward_flat)
-    /// left in `in_flat`), then chains `backward_flat` down the stack,
+    /// top layer, then chains [`LstmCell::backward_seq`] down the stack,
     /// ping-ponging the flat gradient buffers. The bottom layer skips the
-    /// dL/dx matvec entirely — the reference path computes and discards it.
-    fn backward_flat_stack(&mut self, derr: f64, steps: usize) {
-        let top = self.layers.len() - 1;
-        let hidden = self.layers[top].hidden();
-        let last_h = &self.in_flat[(steps - 1) * hidden..steps * hidden];
-        self.head.backward_into(last_h, &[derr], &mut self.dh_last);
+    /// dL/dx kernel entirely — the reference path computes and discards it.
+    fn backward_flat_stack(&mut self, derr: f64) {
+        let top = &self.layers[self.layers.len() - 1];
+        let hidden = top.hidden();
+        let steps = top.cached_steps();
+        self.head
+            .backward_into(top.last_hidden(), &[derr], &mut self.dh_last);
         self.dh_flat.clear();
         self.dh_flat.resize(steps * hidden, 0.0);
         self.dh_flat[(steps - 1) * hidden..].copy_from_slice(&self.dh_last);
         for l in (0..self.layers.len()).rev() {
             if l > 0 {
-                self.layers[l].backward_flat(&self.dh_flat, Some(&mut self.dx_flat));
+                self.layers[l].backward_seq(&self.dh_flat, Some(&mut self.dx_flat));
                 std::mem::swap(&mut self.dh_flat, &mut self.dx_flat);
             } else {
-                self.layers[l].backward_flat(&self.dh_flat, None);
+                self.layers[l].backward_seq(&self.dh_flat, None);
             }
         }
     }

@@ -9,8 +9,8 @@ use crate::checkpoint::{CheckpointError, CkptReader, CkptWriter};
 use crate::nn::adam::Adam;
 use crate::nn::dense::clip;
 use crate::nn::linalg::{
-    matvec, matvec_colmajor_into, matvec_transposed, matvec_transposed_into, outer_accumulate,
-    transpose_into, xavier,
+    matvec, matvec_colmajor_into, matvec_colmajor_seq_into, matvec_transposed,
+    matvec_transposed_into, outer_accumulate, outer_accumulate_seq_rev, transpose_into, xavier,
 };
 use crate::nn::{sigmoid, sigmoid_deriv, tanh_deriv};
 use rand::Rng;
@@ -31,12 +31,6 @@ impl LstmState {
             h: vec![0.0; hidden],
             c: vec![0.0; hidden],
         }
-    }
-
-    /// Zeroes the state in place (sequence restart without reallocation).
-    pub fn reset(&mut self) {
-        self.h.iter_mut().for_each(|v| *v = 0.0);
-        self.c.iter_mut().for_each(|v| *v = 0.0);
     }
 }
 
@@ -62,15 +56,21 @@ struct StepCache {
 ///   [`backward`](Self::backward)) — the original per-step-allocating
 ///   implementation, kept verbatim for the `use_reference_nn`
 ///   differential flag;
-/// - the **optimized** path ([`forward_step_into`](Self::forward_step_into)
-///   / [`backward_flat`](Self::backward_flat)) — flat preallocated
-///   workspace buffers, column-major weight mirrors for the forward
-///   matvecs, and zero heap allocation once the workspace has grown to
-///   the longest sequence seen.
+/// - the **sequence** path ([`forward_seq`](Self::forward_seq) /
+///   [`backward_seq`](Self::backward_seq)) — one call per window over
+///   flat preallocated workspace buffers, with zero heap allocation once
+///   the workspace has grown to the longest window seen. Only the
+///   recurrent `h` path runs inside the time loop: the input projection
+///   `Wx·x_t` is computed for every step before the recurrence, and the
+///   weight gradients and `dL/dx` for every step after the backward
+///   recurrence, each by a register-tiled kernel (`nn::linalg`).
 ///
 /// Both produce bit-identical numbers: every output element accumulates
-/// the same ordered sequence of IEEE-754 operations (see `nn::linalg`).
-/// A cell instance should stick to one path per sequence — activations
+/// the same ordered sequence of IEEE-754 operations. Hoisting a
+/// computation out of the time loop is safe because no element of
+/// `Wx·x_t`, `dW`, `db` or `dx_t` feeds the recurrence; each keeps its own
+/// per-element order (the gradients still add step `steps−1` first). A
+/// cell instance should stick to one path per sequence — activations
 /// cached by one are invisible to the other.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
@@ -91,33 +91,29 @@ pub struct LstmCell {
     opt_b: Adam,
     cache: Vec<StepCache>,
     /// Column-major mirror of `wx` (refreshed after every optimizer step)
-    /// so the forward matvec runs as contiguous per-column axpys.
+    /// for the forward input projection.
     wx_t: Vec<f64>,
-    /// Column-major mirror of `wh`.
+    /// Column-major mirror of `wh` for the forward recurrence.
     wh_t: Vec<f64>,
     /// Timesteps currently cached in the flat workspace.
     steps: usize,
     /// Flat inputs, `steps × input`.
     xs: Vec<f64>,
     /// Flat hidden states, `(steps+1) × hidden`; row `t` is h *before*
-    /// step `t` (so row 0 is the initial state).
+    /// step `t` (so row 0 is the zero initial state).
     hs: Vec<f64>,
     /// Flat cell states, same layout as `hs`.
     cs: Vec<f64>,
-    /// Flat post-activation gates, `steps × 4·hidden`, gate-major
-    /// `[i, f, g, o]` within each row.
+    /// Flat gates, `steps × 4·hidden`, gate-major `[i, f, g, o]` within
+    /// each row. Row `t` holds the input projection `Wx·x_t` until step
+    /// `t` of the recurrence turns it into the post-activation gates.
     gate_acts: Vec<f64>,
     /// Flat `tanh(c_t)`, `steps × hidden`.
     tanh_cs: Vec<f64>,
-    /// Scratch: gate pre-activations (`4·hidden`).
-    z: Vec<f64>,
     /// Scratch: recurrent half of the pre-activation (`4·hidden`).
     zh: Vec<f64>,
-    /// Scratch: dL/dh at the current timestep (`hidden`).
-    dh: Vec<f64>,
-    /// Scratch: dL/dc at the current timestep (`hidden`).
-    dc: Vec<f64>,
-    /// Scratch: gate pre-activation gradients (`4·hidden`).
+    /// Flat gate pre-activation gradients, `steps × 4·hidden`, filled by
+    /// the backward recurrence and consumed by the deferred kernels.
     dz: Vec<f64>,
     /// Scratch: dL/dh carried to timestep t-1 (`hidden`).
     dh_next: Vec<f64>,
@@ -161,15 +157,12 @@ impl LstmCell {
             wh_t,
             steps: 0,
             xs: Vec::new(),
-            hs: Vec::new(),
+            hs: vec![0.0; hidden],
             cs: Vec::new(),
             gate_acts: Vec::new(),
             tanh_cs: Vec::new(),
-            z: vec![0.0; gates],
             zh: vec![0.0; gates],
-            dh: vec![0.0; hidden],
-            dc: vec![0.0; hidden],
-            dz: vec![0.0; gates],
+            dz: Vec::new(),
             dh_next: vec![0.0; hidden],
             dc_next: vec![0.0; hidden],
         }
@@ -281,150 +274,153 @@ impl LstmCell {
         dx_seq
     }
 
-    /// Optimized forward step: advances `state` in place, caching
-    /// activations in the flat workspace for [`backward_flat`](Self::backward_flat).
+    /// Runs a whole window from the zero state, caching activations for
+    /// [`backward_seq`](Self::backward_seq). `xs` holds the inputs back to
+    /// back (`steps × input`); the hidden states are then available from
+    /// [`hidden_seq`](Self::hidden_seq) and
+    /// [`last_hidden`](Self::last_hidden). A window cached earlier and
+    /// not yet backpropagated is discarded.
     ///
-    /// Bit-identical to [`forward_step`](Self::forward_step) — the matvecs
-    /// run over the column-major mirrors (same per-element accumulation
-    /// order, see [`matvec_colmajor_into`]) and every scalar expression is
-    /// written in the reference's order. Allocation-free once the
-    /// workspace has grown to the longest sequence seen.
+    /// Bit-identical to [`forward_step`](Self::forward_step) from
+    /// [`LstmState::zeros`], step by step: the pre-activation is still
+    /// `z = Wx·x + (Wh·h_prev + b)`, with `Wx·x_t` computed for all steps
+    /// up front (it never depends on `h`) and `Wh·h_prev` with its
+    /// accumulators in registers (see [`matvec_colmajor_seq_into`]); every
+    /// scalar expression is written in the reference's order.
+    /// Allocation-free once the workspace has grown to the longest window
+    /// seen.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatches.
-    pub fn forward_step_into(&mut self, x: &[f64], state: &mut LstmState) {
-        assert_eq!(x.len(), self.input, "input width mismatch");
-        assert_eq!(state.h.len(), self.hidden, "state width mismatch");
-        let h = self.hidden;
+    /// Panics if `xs.len()` is not a multiple of the input width.
+    pub fn forward_seq(&mut self, xs: &[f64]) {
+        let (input, h) = (self.input, self.hidden);
         let gates = 4 * h;
-        let t = self.steps;
-        if t == 0 {
-            self.xs.clear();
-            self.hs.clear();
-            self.cs.clear();
-            self.gate_acts.clear();
-            self.tanh_cs.clear();
-            self.hs.extend_from_slice(&state.h);
-            self.cs.extend_from_slice(&state.c);
-        } else {
-            // row t was written by the previous step; refresh from the
-            // caller's state so injected state edits keep reference
-            // semantics
-            self.hs[t * h..(t + 1) * h].copy_from_slice(&state.h);
-            self.cs[t * h..(t + 1) * h].copy_from_slice(&state.c);
-        }
-        self.xs.extend_from_slice(x);
-        // z = Wx·x + (Wh·h_prev + b), grouped exactly as the reference
-        matvec_colmajor_into(&self.wx_t, gates, self.input, x, &mut self.z);
-        matvec_colmajor_into(&self.wh_t, gates, h, &state.h, &mut self.zh);
-        for ((zv, zhv), bv) in self.z.iter_mut().zip(&self.zh).zip(&self.b) {
-            *zv += zhv + bv;
-        }
-        let g0 = self.gate_acts.len();
-        self.gate_acts.resize(g0 + gates, 0.0);
-        {
-            let gr = &mut self.gate_acts[g0..];
+        assert_eq!(xs.len() % input, 0, "input width mismatch");
+        let steps = xs.len() / input;
+        self.steps = steps;
+        self.xs.clear();
+        self.xs.extend_from_slice(xs);
+        self.hs.clear();
+        self.hs.resize((steps + 1) * h, 0.0);
+        self.cs.clear();
+        self.cs.resize((steps + 1) * h, 0.0);
+        self.gate_acts.resize(steps * gates, 0.0);
+        self.tanh_cs.resize(steps * h, 0.0);
+        matvec_colmajor_seq_into(&self.wx_t, gates, input, steps, xs, &mut self.gate_acts);
+        for t in 0..steps {
+            matvec_colmajor_into(
+                &self.wh_t,
+                gates,
+                h,
+                &self.hs[t * h..(t + 1) * h],
+                &mut self.zh,
+            );
+            let gr = &mut self.gate_acts[t * gates..(t + 1) * gates];
+            // z = Wx·x + (Wh·h_prev + b), grouped exactly as the reference
+            for ((zv, zhv), bv) in gr.iter_mut().zip(&self.zh).zip(&self.b) {
+                *zv += zhv + bv;
+            }
             for k in 0..h {
-                gr[k] = sigmoid(self.z[k]);
-                gr[h + k] = sigmoid(self.z[h + k]);
-                gr[2 * h + k] = self.z[2 * h + k].tanh();
-                gr[3 * h + k] = sigmoid(self.z[3 * h + k]);
+                gr[k] = sigmoid(gr[k]);
+                gr[h + k] = sigmoid(gr[h + k]);
+                gr[2 * h + k] = gr[2 * h + k].tanh();
+                gr[3 * h + k] = sigmoid(gr[3 * h + k]);
+            }
+            // rows t of cs/hs are the states entering step t, row t+1 the
+            // states it produces
+            let (c_prev, c_next) = self.cs[t * h..(t + 2) * h].split_at_mut(h);
+            for k in 0..h {
+                c_next[k] = gr[h + k] * c_prev[k] + gr[k] * gr[2 * h + k];
+            }
+            let tc = &mut self.tanh_cs[t * h..(t + 1) * h];
+            let h_next = &mut self.hs[(t + 1) * h..(t + 2) * h];
+            for k in 0..h {
+                tc[k] = c_next[k].tanh();
+                h_next[k] = gr[3 * h + k] * tc[k];
             }
         }
-        let gr = &self.gate_acts[g0..];
-        let c0 = self.cs.len();
-        self.cs.resize(c0 + h, 0.0);
-        for k in 0..h {
-            self.cs[c0 + k] = gr[h + k] * state.c[k] + gr[k] * gr[2 * h + k];
-        }
-        let tc0 = self.tanh_cs.len();
-        self.tanh_cs.resize(tc0 + h, 0.0);
-        let h0 = self.hs.len();
-        self.hs.resize(h0 + h, 0.0);
-        for k in 0..h {
-            let tc = self.cs[c0 + k].tanh();
-            self.tanh_cs[tc0 + k] = tc;
-            self.hs[h0 + k] = gr[3 * h + k] * tc;
-        }
-        state.h.copy_from_slice(&self.hs[h0..]);
-        state.c.copy_from_slice(&self.cs[c0..]);
-        self.steps = t + 1;
     }
 
-    /// Optimized BPTT over the flat workspace filled by
-    /// [`forward_step_into`](Self::forward_step_into).
+    /// Hidden states of the cached window, `steps × hidden` (row `t` is
+    /// the output of step `t`); empty once the window has been consumed.
+    pub fn hidden_seq(&self) -> &[f64] {
+        &self.hs[self.hidden..(self.steps + 1) * self.hidden]
+    }
+
+    /// Hidden state after the last cached step — the zero initial state
+    /// when no window is cached.
+    pub fn last_hidden(&self) -> &[f64] {
+        &self.hs[self.steps * self.hidden..(self.steps + 1) * self.hidden]
+    }
+
+    /// BPTT over the window cached by [`forward_seq`](Self::forward_seq).
     ///
     /// `dh_seq` is the flat `steps × hidden` loss gradient (row `t` is
     /// dL/dh at timestep `t`). When `dx_seq` is `Some`, it is resized to
     /// `steps × input` and receives dL/dx (stacked models need it;
     /// bottom layers pass `None` and skip the work the reference path
-    /// always did). Accumulates weight gradients and resets the
-    /// workspace. Bit-identical to [`backward`](Self::backward);
-    /// allocation-free in steady state.
+    /// always did). Accumulates weight gradients on top of any earlier
+    /// ones and consumes the window. Bit-identical to
+    /// [`backward`](Self::backward); allocation-free in steady state.
+    ///
+    /// Only `dz_t`, `dh_next = Whᵀ·dz_t` and `dc_next` run inside the
+    /// reverse time loop. Every `dz_t` is stored, and the weight
+    /// gradients (`t = steps−1` first, as the reference adds them) and
+    /// `dx = Wxᵀ·dz` for all steps follow as register-tiled kernels.
     ///
     /// # Panics
     ///
     /// Panics if `dh_seq.len()` is not `steps × hidden`.
-    pub fn backward_flat(&mut self, dh_seq: &[f64], mut dx_seq: Option<&mut Vec<f64>>) {
-        let h = self.hidden;
+    pub fn backward_seq(&mut self, dh_seq: &[f64], dx_seq: Option<&mut Vec<f64>>) {
+        let (input, h) = (self.input, self.hidden);
         let gates = 4 * h;
         let steps = self.steps;
         assert_eq!(dh_seq.len(), steps * h, "need one dh per cached timestep");
-        if let Some(dx) = dx_seq.as_deref_mut() {
-            dx.clear();
-            dx.resize(steps * self.input, 0.0);
-        }
+        self.dz.resize(steps * gates, 0.0);
         self.dh_next.iter_mut().for_each(|v| *v = 0.0);
         self.dc_next.iter_mut().for_each(|v| *v = 0.0);
         for t in (0..steps).rev() {
             let gr = &self.gate_acts[t * gates..(t + 1) * gates];
             let tc = &self.tanh_cs[t * h..(t + 1) * h];
-            // rows t of hs/cs are the states *entering* step t
             let c_prev = &self.cs[t * h..(t + 1) * h];
-            let h_prev = &self.hs[t * h..(t + 1) * h];
-            let x_t = &self.xs[t * self.input..(t + 1) * self.input];
-            self.dh.copy_from_slice(&dh_seq[t * h..(t + 1) * h]);
-            for (a, b) in self.dh.iter_mut().zip(&self.dh_next) {
-                *a += b;
-            }
-            // dL/dc through h = o * tanh(c), plus carry from t+1
-            self.dc.copy_from_slice(&self.dc_next);
+            let dh_t = &dh_seq[t * h..(t + 1) * h];
+            let dz = &mut self.dz[t * gates..(t + 1) * gates];
             for k in 0..h {
-                self.dc[k] += self.dh[k] * gr[3 * h + k] * tanh_deriv(tc[k]);
+                let dh = dh_t[k] + self.dh_next[k];
+                // dL/dc through h = o * tanh(c), plus carry from t+1
+                let dc = self.dc_next[k] + dh * gr[3 * h + k] * tanh_deriv(tc[k]);
+                // gate pre-activation gradients, stacked [i, f, g, o]
+                dz[k] = dc * gr[2 * h + k] * sigmoid_deriv(gr[k]);
+                dz[h + k] = dc * c_prev[k] * sigmoid_deriv(gr[h + k]);
+                dz[2 * h + k] = dc * gr[k] * tanh_deriv(gr[2 * h + k]);
+                dz[3 * h + k] = dh * tc[k] * sigmoid_deriv(gr[3 * h + k]);
+                self.dc_next[k] = dc * gr[h + k];
             }
-            // gate pre-activation gradients, stacked [i, f, g, o]
-            for k in 0..h {
-                self.dz[k] = self.dc[k] * gr[2 * h + k] * sigmoid_deriv(gr[k]);
-                self.dz[h + k] = self.dc[k] * c_prev[k] * sigmoid_deriv(gr[h + k]);
-                self.dz[2 * h + k] = self.dc[k] * gr[k] * tanh_deriv(gr[2 * h + k]);
-                self.dz[3 * h + k] = self.dh[k] * tc[k] * sigmoid_deriv(gr[3 * h + k]);
-            }
-            outer_accumulate(&mut self.dwx, &self.dz, x_t);
-            outer_accumulate(&mut self.dwh, &self.dz, h_prev);
-            for (d, g) in self.db.iter_mut().zip(&self.dz) {
+            matvec_transposed_into(&self.wh, gates, h, dz, &mut self.dh_next);
+        }
+        outer_accumulate_seq_rev(&mut self.dwx, gates, input, steps, &self.dz, &self.xs);
+        // rows 0..steps of hs are the states entering each step
+        outer_accumulate_seq_rev(
+            &mut self.dwh,
+            gates,
+            h,
+            steps,
+            &self.dz,
+            &self.hs[..steps * h],
+        );
+        for dz in self.dz.chunks_exact(gates).rev() {
+            for (d, g) in self.db.iter_mut().zip(dz) {
                 *d += g;
             }
-            if let Some(dx) = dx_seq.as_deref_mut() {
-                matvec_transposed_into(
-                    &self.wx,
-                    gates,
-                    self.input,
-                    &self.dz,
-                    &mut dx[t * self.input..(t + 1) * self.input],
-                );
-            }
-            matvec_transposed_into(&self.wh, gates, h, &self.dz, &mut self.dh_next);
-            for k in 0..h {
-                self.dc_next[k] = self.dc[k] * gr[h + k];
-            }
+        }
+        if let Some(dx) = dx_seq {
+            dx.clear();
+            dx.resize(steps * input, 0.0);
+            // the row-major Wx is the column-major store of Wxᵀ
+            matvec_colmajor_seq_into(&self.wx, input, gates, steps, &self.dz, dx);
         }
         self.steps = 0;
-        self.xs.clear();
-        self.hs.clear();
-        self.cs.clear();
-        self.gate_acts.clear();
-        self.tanh_cs.clear();
     }
 
     /// Applies accumulated gradients with Adam and zeroes accumulators.
@@ -447,11 +443,6 @@ impl LstmCell {
     pub fn clear_cache(&mut self) {
         self.cache.clear();
         self.steps = 0;
-        self.xs.clear();
-        self.hs.clear();
-        self.cs.clear();
-        self.gate_acts.clear();
-        self.tanh_cs.clear();
     }
 
     /// Number of cached (not yet backpropagated) timesteps, whichever
@@ -511,7 +502,7 @@ impl LstmCell {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn run_sequence(cell: &mut LstmCell, xs: &[f64]) -> Vec<f64> {
         let mut state = LstmState::zeros(cell.hidden());
@@ -629,68 +620,102 @@ mod tests {
         assert_eq!(cell.cached_steps(), 0);
     }
 
-    /// The optimized flat-workspace path must match the reference path
-    /// bit for bit — hidden states, input gradients and post-update
-    /// weights compared with `==` across several training rounds.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The sequence path must match the reference path bit for bit —
+    /// hidden states, input gradients and post-update weights compared by
+    /// `to_bits` over several training rounds. Even rounds backpropagate
+    /// two windows of different lengths before one optimizer step, so the
+    /// deferred gradient kernels must accumulate, not overwrite.
     #[test]
-    fn flat_path_bit_identical_to_reference() {
-        for seed in [11u64, 42, 303] {
-            let mut r1 = StdRng::seed_from_u64(seed);
-            let mut r2 = StdRng::seed_from_u64(seed);
-            let mut reference = LstmCell::new(2, 8, 0.01, &mut r1);
-            let mut optimized = LstmCell::new(2, 8, 0.01, &mut r2);
-            let seq: Vec<[f64; 2]> = (0..6)
-                .map(|i| [(i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()])
-                .collect();
-            let mut dx_flat = Vec::new();
-            for round in 1..=5u64 {
-                let mut s_ref = LstmState::zeros(8);
-                let mut s_opt = LstmState::zeros(8);
-                for x in &seq {
-                    s_ref = reference.forward_step(x, &s_ref);
-                    optimized.forward_step_into(x, &mut s_opt);
-                    assert_eq!(s_opt.h, s_ref.h, "h drift seed={seed} round={round}");
-                    assert_eq!(s_opt.c, s_ref.c, "c drift seed={seed} round={round}");
+    fn sequence_path_bit_identical_to_reference() {
+        for (input, hidden) in [(1, 32), (32, 32), (3, 5)] {
+            for seed in [11u64, 42] {
+                let mut r1 = StdRng::seed_from_u64(seed);
+                let mut r2 = StdRng::seed_from_u64(seed);
+                let mut reference = LstmCell::new(input, hidden, 0.01, &mut r1);
+                let mut sequence = LstmCell::new(input, hidden, 0.01, &mut r2);
+                let mut data = StdRng::seed_from_u64(seed + 1000);
+                let mut dx = Vec::new();
+                for round in 1..=4u64 {
+                    let case = format!("{input}x{hidden} seed={seed} round={round}");
+                    for steps in if round % 2 == 0 { 6..8 } else { 7..8 } {
+                        let xs: Vec<f64> = (0..steps * input)
+                            .map(|_| data.gen_range(-2.0..2.0))
+                            .collect();
+                        let dh: Vec<f64> = (0..steps * hidden)
+                            .map(|_| data.gen_range(-1.0..1.0))
+                            .collect();
+                        let mut state = LstmState::zeros(hidden);
+                        let mut h_ref = Vec::new();
+                        for x in xs.chunks(input) {
+                            state = reference.forward_step(x, &state);
+                            h_ref.extend_from_slice(&state.h);
+                        }
+                        sequence.forward_seq(&xs);
+                        assert_eq!(bits(sequence.hidden_seq()), bits(&h_ref), "h {case}");
+                        assert_eq!(
+                            bits(sequence.last_hidden()),
+                            bits(&state.h),
+                            "last h {case}"
+                        );
+                        let dh_rows: Vec<Vec<f64>> =
+                            dh.chunks(hidden).map(<[f64]>::to_vec).collect();
+                        let dx_ref = reference.backward(&dh_rows).concat();
+                        sequence.backward_seq(&dh, Some(&mut dx));
+                        assert_eq!(bits(&dx), bits(&dx_ref), "dx {case}");
+                    }
+                    reference.apply_grads(round);
+                    sequence.apply_grads(round);
+                    let (sx, sh, sb) = sequence.weights();
+                    let (rx, rh, rb) = reference.weights();
+                    assert_eq!(bits(sx), bits(rx), "wx {case}");
+                    assert_eq!(bits(sh), bits(rh), "wh {case}");
+                    assert_eq!(bits(sb), bits(rb), "b {case}");
                 }
-                // seed the loss at the last step only, like the models do
-                let mut dh_seq = vec![vec![0.0; 8]; seq.len()];
-                dh_seq[seq.len() - 1] = (0..8).map(|k| 0.1 * (k as f64 + 1.0)).collect();
-                let dh_flat: Vec<f64> = dh_seq.concat();
-                let dx_ref = reference.backward(&dh_seq);
-                optimized.backward_flat(&dh_flat, Some(&mut dx_flat));
-                assert_eq!(dx_flat, dx_ref.concat(), "dx drift seed={seed}");
-                reference.apply_grads(round);
-                optimized.apply_grads(round);
-                assert_eq!(
-                    optimized.weights(),
-                    reference.weights(),
-                    "weight drift seed={seed} round={round}"
-                );
             }
         }
     }
 
-    /// `backward_flat(None)` must accumulate the same weight gradients as
-    /// with a dx output buffer — the skipped dx matvec feeds nothing else.
+    /// `backward_seq(None)` must accumulate the same weight gradients as
+    /// with a dx output buffer — the skipped dx kernel feeds nothing else.
     #[test]
-    fn backward_flat_without_dx_matches() {
+    fn backward_seq_without_dx_matches() {
         let mut r1 = StdRng::seed_from_u64(6);
         let mut r2 = StdRng::seed_from_u64(6);
         let mut a = LstmCell::new(1, 4, 0.01, &mut r1);
         let mut b = LstmCell::new(1, 4, 0.01, &mut r2);
-        let mut sa = LstmState::zeros(4);
-        let mut sb = LstmState::zeros(4);
-        for &x in &[0.2, -0.4, 0.6] {
-            a.forward_step_into(&[x], &mut sa);
-            b.forward_step_into(&[x], &mut sb);
-        }
+        a.forward_seq(&[0.2, -0.4, 0.6]);
+        b.forward_seq(&[0.2, -0.4, 0.6]);
         let dh = vec![0.25; 12];
         let mut dx = Vec::new();
-        a.backward_flat(&dh, Some(&mut dx));
-        b.backward_flat(&dh, None);
+        a.backward_seq(&dh, Some(&mut dx));
+        b.backward_seq(&dh, None);
         a.apply_grads(1);
         b.apply_grads(1);
         assert_eq!(a.weights(), b.weights());
+    }
+
+    /// A window is consumed by backward and dropped by `clear_cache`;
+    /// either way the cell reports the zero state as its last output.
+    #[test]
+    fn sequence_window_lifecycle() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut cell = LstmCell::new(2, 3, 0.01, &mut rng);
+        assert_eq!(cell.last_hidden(), &[0.0; 3]);
+        cell.forward_seq(&[0.1, 0.2, 0.3, 0.4]);
+        assert_eq!(cell.cached_steps(), 2);
+        assert_eq!(cell.hidden_seq().len(), 6);
+        assert_eq!(cell.last_hidden(), &cell.hidden_seq()[3..]);
+        cell.clear_cache();
+        assert_eq!(cell.cached_steps(), 0);
+        assert!(cell.hidden_seq().is_empty());
+        assert_eq!(cell.last_hidden(), &[0.0; 3]);
+        cell.forward_seq(&[0.5, 0.6]);
+        cell.backward_seq(&[1.0; 3], None);
+        assert_eq!(cell.cached_steps(), 0);
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Steady-state allocation test: after one warm-up round, the flat-
-//! workspace LSTM forward/backward/Adam loop and a trained model's
-//! forecast path must not touch the heap at all. A counting global
-//! allocator makes any regression an exact, reproducible failure.
+//! Steady-state allocation test: after one warm-up round, the sequence-
+//! level LSTM forward/backward/Adam loop (including its all-steps input
+//! projection and `dz` buffers) and a trained model's forecast path must
+//! not touch the heap at all. A counting global allocator makes any
+//! regression an exact, reproducible failure.
 //!
 //! This file holds exactly one `#[test]` — the allocation counter is
 //! process-global, and a second concurrently-running test would make the
 //! delta nondeterministic.
 
-use fifer_predict::nn::{LstmCell, LstmState};
+use fifer_predict::nn::LstmCell;
 use fifer_predict::train::TrainConfig;
 use fifer_predict::{LoadPredictor, LstmPredictor};
 use rand::rngs::StdRng;
@@ -47,26 +48,24 @@ fn allocations() -> u64 {
 
 #[test]
 fn steady_state_training_and_forecast_do_not_allocate() {
-    // --- cell level: forward steps + backward + Adam, warmed up once ---
+    // --- cell level: a window forward + backward + Adam, warmed up once ---
     let mut rng = StdRng::seed_from_u64(7);
     let mut cell = LstmCell::new(4, 16, 1e-2, &mut rng);
-    let xs: Vec<Vec<f64>> = (0..12)
-        .map(|t| (0..4).map(|i| ((t * 4 + i) as f64 * 0.13).sin()).collect())
-        .collect();
+    let xs: Vec<f64> = (0..12 * 4).map(|i| (i as f64 * 0.13).sin()).collect();
     let dh_seq = vec![0.01_f64; 12 * 16];
-    let mut state = LstmState::zeros(16);
-    let round = |cell: &mut LstmCell, state: &mut LstmState, t: u64| {
-        state.reset();
-        for x in &xs {
-            cell.forward_step_into(x, state);
-        }
-        cell.backward_flat(&dh_seq, None);
+    let mut dx = Vec::new();
+    let round = |cell: &mut LstmCell, dx: &mut Vec<f64>, t: u64| {
+        cell.forward_seq(&xs);
+        cell.backward_seq(&dh_seq, Some(dx));
+        // a shorter window must reuse the grown buffers
+        cell.forward_seq(&xs[..5 * 4]);
+        cell.backward_seq(&dh_seq[..5 * 16], None);
         cell.apply_grads(t);
     };
-    round(&mut cell, &mut state, 1); // warm-up: workspace buffers grow to capacity here
+    round(&mut cell, &mut dx, 1); // warm-up: workspace buffers grow to capacity here
     let before = allocations();
     for t in 2..6 {
-        round(&mut cell, &mut state, t);
+        round(&mut cell, &mut dx, t);
     }
     let delta = allocations() - before;
     assert_eq!(

@@ -259,7 +259,10 @@ impl FaultPlan {
                     let (p, latency) = match value.split_once('@') {
                         Some((p, ms)) => {
                             let ms: u64 = ms.parse().map_err(|_| bad("latency"))?;
-                            (p, SimDuration::from_millis(ms))
+                            let us = ms
+                                .checked_mul(1_000)
+                                .ok_or_else(|| bad("latency (past the simulated clock)"))?;
+                            (p, SimDuration::from_micros(us))
                         }
                         None => (value, plan.spawn_fail_latency),
                     };
@@ -285,10 +288,16 @@ impl FaultPlan {
                     if dur == 0 {
                         return Err(bad("duration (must be positive)"));
                     }
+                    let micros = |secs: u64| secs.checked_mul(1_000_000).map(SimTime::from_micros);
+                    let window = down
+                        .checked_add(dur)
+                        .and_then(|up| Some((micros(down)?, micros(up)?)));
+                    let (down_at, up_at) =
+                        window.ok_or_else(|| bad("outage window (past the simulated clock)"))?;
                     plan.outages.push(NodeOutage {
                         node,
-                        down_at: SimTime::from_secs(down),
-                        up_at: SimTime::from_secs(down + dur),
+                        down_at,
+                        up_at,
                     });
                 }
                 other => return Err(format!("unknown fault key '{other}'")),
@@ -372,6 +381,26 @@ mod tests {
         assert!(FaultPlan::parse("warp=0.5").is_err());
         assert!(FaultPlan::parse("outage=2@100").is_err());
         assert!(FaultPlan::parse("outage=2@100+0").is_err());
+    }
+
+    /// Times past the microsecond clock are named errors, not overflow
+    /// panics; the largest representable window still parses.
+    #[test]
+    fn parse_rejects_times_past_the_clock() {
+        for spec in [
+            "spawn=0.1@18446744073709551615",
+            "outage=1@18446744073709551615+1",
+            "outage=1@18446744073709+60",
+            "outage=1@1+18446744073709551615",
+        ] {
+            let err = FaultPlan::parse(spec).unwrap_err();
+            assert!(err.contains("past the simulated clock"), "{spec}: {err}");
+        }
+        let plan = FaultPlan::parse("outage=1@18446744073708+1").expect("fits the clock");
+        assert_eq!(
+            plan.outages[0].up_at,
+            SimTime::from_secs(18_446_744_073_709)
+        );
     }
 
     #[test]

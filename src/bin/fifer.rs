@@ -251,6 +251,13 @@ fn parse_args() -> Args {
         eprintln!("error: --faults: {e}");
         usage()
     }
+    if let Some(path) = &args.decision_trace {
+        // fail before the replay, not after it
+        if let Err(e) = std::fs::File::create(path) {
+            eprintln!("error: --decision-trace: cannot write {path}: {e}");
+            usage()
+        }
+    }
     args
 }
 
@@ -363,10 +370,8 @@ fn main() {
             h.rightsize = args.rightsize;
             cfg.rm.harvest = h;
         }
-        if let Some(path) = &args.decision_trace {
-            // like --json, the last RM listed wins under --compare
+        if args.decision_trace.is_some() {
             cfg.trace.capacity = 1 << 20;
-            cfg.trace.jsonl = Some(path.clone());
         }
         if args.online_retrain {
             cfg.rm.online_retrain = OnlineRetrainConfig::paper_default();
@@ -384,7 +389,14 @@ fn main() {
             }
             _ => {}
         }
-        let r = sim.run();
+        let (r, trace) = sim.run_with_trace();
+        if let Some(path) = &args.decision_trace {
+            // like --json, the last RM listed wins under --compare
+            if let Err(e) = trace.export_jsonl(path) {
+                eprintln!("error: --decision-trace: cannot write {path}: {e}");
+                exit(2);
+            }
+        }
         if let Some(path) = &args.json {
             // the last RM listed wins when --compare is combined with --json
             if let Err(e) = fifer::metrics::report::write_file(path, &r.to_json()) {

@@ -380,6 +380,49 @@ fn outage_on_a_missing_node_is_a_named_error() {
 }
 
 #[test]
+fn decision_trace_under_a_missing_directory_is_a_named_error() {
+    let dir = std::env::temp_dir().join("fifer_cli_missing_trace_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("trace.jsonl");
+    let path = path.to_str().expect("utf-8 temp path");
+    let args = ["--rm", "bline", "--secs", "30", "--decision-trace", path];
+    assert_rejected(&args, "--decision-trace: cannot write");
+    // rejected before the replay: not even the workload line is printed
+    let out = fifer().args(args).output().expect("spawn");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        !dir.exists(),
+        "a failed trace export must not create the directory"
+    );
+}
+
+#[test]
+fn decision_trace_is_exported_as_jsonl() {
+    let path = std::env::temp_dir().join("fifer_cli_decision_trace.jsonl");
+    let _ = std::fs::remove_file(&path);
+    let out = fifer()
+        .args(["--rm", "bline", "--secs", "30", "--decision-trace"])
+        .arg(&path)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let jsonl = std::fs::read_to_string(&path).expect("trace written");
+    assert!(!jsonl.is_empty(), "a bline run spawns containers");
+    assert!(jsonl
+        .lines()
+        .all(|l| l.starts_with('{') && l.ends_with('}')));
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn replay_of_missing_file_fails_cleanly() {
     let out = fifer()
         .args(["--replay", "/nonexistent/wl.csv"])

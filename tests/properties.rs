@@ -569,3 +569,178 @@ proptest! {
         prop_assert!(m < 1_000_000, "proactive count {m} must stay bounded");
     }
 }
+
+/// A well-formed token seven times in eight, a malformed one otherwise.
+fn mostly(
+    good: &'static [&'static str],
+    bad: &'static [&'static str],
+) -> impl Strategy<Value = &'static str> {
+    prop_oneof![
+        7 => (0..good.len()).prop_map(move |i| good[i]),
+        1 => (0..bad.len()).prop_map(move |i| bad[i]),
+    ]
+}
+
+/// Integer fields of `--faults` terms: small values (valid node ids among
+/// them), and a seconds count whose microseconds still fit `u64` — but
+/// not once an outage's duration is added. Malformed ones overflow `u64`
+/// or are negative, fractional or empty.
+fn fault_int() -> impl Strategy<Value = &'static str> {
+    mostly(
+        &["0", "1", "3", "60", "100", "18446744073709"],
+        &[
+            "18446744073709551615",
+            "18446744073709551616",
+            "-1",
+            "1.5",
+            "",
+            "x",
+        ],
+    )
+}
+
+/// `--faults` specs: up to four comma-separated terms, each one of the
+/// documented keys with mostly well-formed values (probabilities, latency
+/// and factor suffixes, outage windows), or an unknown key, an outage
+/// missing its duration, or a term without `=`.
+fn fault_spec() -> impl Strategy<Value = String> {
+    let prob = mostly(
+        &["0", "0.05", "0.5", "1"],
+        &["1.5", "-0.1", "NaN", "inf", "", "1e3"],
+    );
+    let term = (
+        0usize..9,
+        fault_int(),
+        fault_int(),
+        fault_int(),
+        prob,
+        any::<bool>(),
+    )
+        .prop_map(|(kind, a, b, c, p, suffix)| match kind {
+            0 => format!("seed={a}"),
+            1 if suffix => format!("spawn={p}@{a}"),
+            1 => format!("spawn={p}"),
+            2 => format!("crash={p}"),
+            3 if suffix => format!("straggler={p}x{b}"),
+            3 => format!("straggler={p}"),
+            4 => format!("retries={a}"),
+            5 | 6 => format!("outage={a}@{b}+{c}"),
+            7 if suffix => format!("warp={a}"),
+            7 => format!("outage={a}@{b}"),
+            _ => format!("crash{p}"),
+        });
+    prop::collection::vec(term, 0..5).prop_map(|terms| terms.join(","))
+}
+
+/// Replacement parts for `--trigger-mix` specs: out of `u8`, signed,
+/// padded, fractional, empty, or two parts in one.
+const TRIGGER_NOISE: &[&str] = &["256", "-1", " 15", "15 ", "x", "+7", "1.5", "", "0,0"];
+
+/// `--trigger-mix` specs: four integer shares summing to 100 (the last
+/// one negative when the first three overshoot), one of them sometimes
+/// swapped for a noise part.
+fn trigger_mix_spec() -> impl Strategy<Value = String> {
+    (
+        0i64..101,
+        0i64..101,
+        0i64..101,
+        0..TRIGGER_NOISE.len(),
+        0usize..6,
+    )
+        .prop_map(|(a, b, c, noise, slot)| {
+            let mut parts = [a, b, c, 100 - a - b - c].map(|p| p.to_string());
+            // slots 4 and 5 keep the four shares intact
+            if let Some(part) = parts.get_mut(slot) {
+                *part = TRIGGER_NOISE[noise].to_string();
+            }
+            parts.join(",")
+        })
+}
+
+/// Workload CSV files: a header line (sometimes truncated or missing),
+/// then up to six rows of four fields — or three, or five — ending in LF
+/// or CRLF. Fields are mostly well formed; the rest cover unknown
+/// applications, ids and arrivals past `u64`, negative and fractional
+/// integers, zero, non-finite and overflowing input scales, padding and
+/// empty fields.
+fn workload_csv() -> impl Strategy<Value = String> {
+    let header = mostly(
+        &["id,app,arrival_us,input_scale\n"],
+        &["id,app\n", "", "id,app,arrival_us,input_scale,x\n"],
+    );
+    let head = mostly(
+        &["0,IMG,", "1,IPA,", "2,FaceSecurity,", "3,DetectFatigue,"],
+        &["7,Nope,", "18446744073709551616,IMG,", "-3,IPA,", "x,", ","],
+    );
+    let arrival = mostly(
+        &["0", "1", "42", "1000000", "18446744073709551615"],
+        &["18446744073709551616", "-5", "1.5", "", " 1"],
+    );
+    let scale = mostly(
+        &["0.5", "1.0", "1", "2.25", "1e308"],
+        &["1e309", "0", "-0", "inf", "NaN", " 2", ""],
+    );
+    let row =
+        (head, arrival, scale, 0usize..8).prop_map(|(head, arrival, scale, shape)| match shape {
+            0 => format!("{head}{arrival}\n"),
+            1 => format!("{head}{arrival},{scale},{scale}\n"),
+            2 => format!("{head}{arrival},{scale}\r\n"),
+            _ => format!("{head}{arrival},{scale}\n"),
+        });
+    (header, prop::collection::vec(row, 0..7))
+        .prop_map(|(header, rows)| format!("{header}{}", rows.concat()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// `--faults` parsing never panics, and a spec that parses and passes
+    /// `check` yields a plan the simulator accepts.
+    #[test]
+    fn fault_spec_parsing_never_panics(spec in fault_spec()) {
+        if let Ok(plan) = FaultPlan::parse(&spec) {
+            if plan.check(5).is_ok() {
+                plan.validate(5);
+                for p in [plan.spawn_fail_prob, plan.crash_prob, plan.straggler_prob] {
+                    prop_assert!((0.0..=1.0).contains(&p), "{spec:?}: probability {p}");
+                }
+                for o in &plan.outages {
+                    prop_assert!(o.node < 5 && o.down_at < o.up_at, "{spec:?}: {o:?}");
+                }
+                let _ = plan.min_event_latency();
+            }
+        }
+    }
+
+    /// `--trigger-mix` parsing never panics, and every parsed mix is one
+    /// the validating constructor accepts.
+    #[test]
+    fn trigger_mix_parsing_never_panics(
+        spec in trigger_mix_spec(),
+    ) {
+        if let Ok(mix) = TriggerMix::parse(&spec) {
+            let rebuilt = TriggerMix::new(mix.http_pct, mix.timer_pct, mix.queue_pct, mix.event_pct);
+            prop_assert_eq!(rebuilt, mix);
+        }
+    }
+
+    /// Workload CSV parsing never panics, and every parsed stream is in
+    /// arrival order with finite positive input scales and survives a
+    /// save/parse round trip unchanged.
+    #[test]
+    fn workload_csv_parsing_never_panics(
+        text in workload_csv(),
+    ) {
+        use fifer::workloads::io::{stream_from_csv, stream_to_csv};
+        if let Ok(stream) = stream_from_csv(&text, WorkloadMix::Heavy) {
+            let jobs = stream.jobs();
+            prop_assert!(jobs.windows(2).all(|w| w[0].arrival <= w[1].arrival), "{text:?}");
+            prop_assert!(
+                jobs.iter().all(|j| j.input_scale.is_finite() && j.input_scale > 0.0),
+                "{text:?}"
+            );
+            let again = stream_from_csv(&stream_to_csv(&stream), WorkloadMix::Heavy);
+            prop_assert_eq!(again.ok(), Some(stream), "{:?}", text);
+        }
+    }
+}
