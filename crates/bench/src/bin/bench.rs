@@ -1,6 +1,6 @@
 //! `bench` — perf-trajectory harness for the simulator hot path.
 //!
-//! Produces `BENCH_simulator.json` with seven sections:
+//! Produces `BENCH_simulator.json` with six sections:
 //!
 //! 1. **dispatch** — drains a synthetic deep stage queue (default depth
 //!    10 000) through the indexed priority queue and through the
@@ -13,22 +13,14 @@
 //!    `events_per_sec` is computed against replay time only. RM
 //!    pre-training fans out across the thread pool; replays are timed
 //!    one at a time so wall-clocks stay uncontended.
-//! 3. **sharded** — replays the same Table-4-scale run on the reference
-//!    serial event engine and on the merge-sharded reference engine at
-//!    shard counts {1, 2, 4, 8, N} (N = one shard per core), reporting
-//!    events/s, the speedup over serial, and whether each sharded run's
-//!    headline JSON digest matched the serial baseline (it must — the
-//!    engines are bit-identical by construction). Bline is the measured
-//!    RM so the numbers isolate the event engine from predictor cost.
-//! 4. **parallel** — the same replay on the conservative-lookahead
-//!    parallel epoch engine at explicit `(shards, workers)` combinations,
-//!    with the pool size pinned per run rather than inherited from the
-//!    host. Every combination's headline digest must match the serial
-//!    baseline; `--validate` additionally enforces a ≥ 2× speedup over
-//!    serial at ≥ 4 workers, gated on the recorded
-//!    `workers_available` (detected usable cores) so 1-core CI hosts
-//!    still prove identity without asserting scaling they cannot express.
-//! 5. **nn** — times the Fifer LSTM's pre-training and per-forecast cost
+//! 3. **engine** — replays the same Table-4-scale run (Bline, so the
+//!    numbers isolate the event engine from predictor cost) on the
+//!    reference one-heap event engine and on the default arrival-slab
+//!    engine, alternating, `--reps` times each, and reports each engine's
+//!    median replay time, events/s and ns/event plus its headline JSON
+//!    digest. `--validate` fails on any digest or event-count mismatch:
+//!    the engines are bit-identical by construction.
+//! 4. **nn** — times the Fifer LSTM's pre-training and per-forecast cost
 //!    on the replay's own training series, on both the flat-workspace
 //!    path and the reference per-step-allocating path (bit-identical by
 //!    construction; the differential suites prove it), and reports the
@@ -38,13 +30,13 @@
 //!    load cost, forecast bit-identity), and `fifer_e2e_s` — the
 //!    early-stopped pretrain plus the Fifer event replay, which
 //!    `--validate` holds under 10 s on full-scale ≥ 4-core runs.
-//! 6. **utilization** — the resource-accounting view of the same replay
+//! 5. **utilization** — the resource-accounting view of the same replay
 //!    runs: allocated vs used core-hours per RM, the waste
 //!    (allocated-but-unused core-hours), the harvested core-hours, and
 //!    the lease counters. `--validate` enforces that Harvest cuts waste
 //!    to ≤ 90% of Bline's without raising the SLO violation fraction by
 //!    more than one point — the headline claim of the harvesting layer.
-//! 7. **wild** — all seven RMs head-to-head on the Azure-characterization
+//! 6. **wild** — all seven RMs head-to-head on the Azure-characterization
 //!    workload family (heavy-tailed per-app rates, mixed trigger
 //!    classes), every RM at the same short 10 s idle scan so the
 //!    keep-alive *policy* is the only variable. `--validate` enforces the
@@ -95,42 +87,24 @@ struct ReplayRow {
     slo_violation_fraction: f64,
 }
 
-struct ShardedRow {
-    shards: usize,
+/// One engine's median timing over the bench reps.
+struct EngineRow {
     replay_s: f64,
     events: u64,
     digest: u64,
-    identical: bool,
 }
 
-struct ShardedSection {
+/// Reference vs default event engine on one replay.
+struct EngineSection {
     rm: &'static str,
+    /// Cores this process may use (affinity masks and cgroup quotas
+    /// included); gates the hardware-dependent floors.
     workers_available: usize,
-    serial_replay_s: f64,
-    serial_events: u64,
-    serial_digest: u64,
-    rows: Vec<ShardedRow>,
-}
-
-struct ParallelRow {
-    shards: usize,
-    workers: usize,
-    replay_s: f64,
-    events: u64,
-    digest: u64,
+    reference: EngineRow,
+    default: EngineRow,
+    /// Every replay of both engines produced the same digest and event
+    /// count.
     identical: bool,
-}
-
-/// Conservative-lookahead parallel engine sweep. The serial baseline is
-/// shared with the sharded section (same spec, same RM), so only the
-/// parallel rows are replayed here.
-struct ParallelSection {
-    rm: &'static str,
-    workers_available: usize,
-    serial_replay_s: f64,
-    serial_events: u64,
-    serial_digest: u64,
-    rows: Vec<ParallelRow>,
 }
 
 struct UtilRow {
@@ -210,17 +184,6 @@ struct WarmStartStats {
 const MIN_DISPATCH_SPEEDUP: f64 = 1.5;
 const MIN_FIFER_EVENTS_PER_SEC: f64 = 200_000.0;
 const MIN_NN_PRETRAIN_SPEEDUP: f64 = 1.05;
-/// Sharded-engine speedup over serial at 4 shards — enforced only when
-/// the machine actually has ≥ 4 cores (`workers_available`); the engine
-/// commits in one total order either way, so on smaller hosts the section
-/// still validates bit-identity, just not the scaling.
-const MIN_SHARDED_SPEEDUP_AT_4: f64 = 2.0;
-/// Parallel epoch-engine speedup over serial on a combination with ≥ 4
-/// pinned workers — like the sharded floor, enforced only when the
-/// recorded `workers_available` (detected usable cores, not the pool's
-/// configured size) says the host can express it. Digest identity is
-/// enforced unconditionally at every combination.
-const MIN_PARALLEL_SPEEDUP_AT_4: f64 = 2.0;
 /// Harvesting must cut allocated-but-unused core-hours to at most this
 /// fraction of Bline's waste on the same replay…
 const MAX_HARVEST_WASTE_VS_BLINE: f64 = 0.9;
@@ -234,8 +197,8 @@ const MAX_WILD_HH_COLD_VS_BLINE: f64 = 1.0;
 /// the quick horizon is dominated by the histogram warm-up transient.
 const MAX_WILD_HH_MEMTIME_VS_BLINE: f64 = 1.5;
 /// Production end-to-end Fifer (early-stopped pretrain + event replay)
-/// must land under this wall-clock on a full-scale run. Hardware-gated
-/// like the sharded floor: only enforced where `workers_available >= 4`,
+/// must land under this wall-clock on a full-scale run. Hardware-gated:
+/// only enforced where `workers_available >= 4`,
 /// and only on full (non-quick) runs where the horizon is Table-4 scale.
 const MAX_NN_FIFER_E2E_S: f64 = 10.0;
 /// The early-stopped model may give up at most this many percentage
@@ -414,46 +377,29 @@ fn main() {
         );
     }
 
-    println!("\n## sharded engine: serial baseline vs shard counts (Bline replay)");
-    let sharded = sharded_bench(&spec_for(RmKind::Bline));
+    println!("\n## event engine: reference one-heap vs default arrival slab (Bline replay, median of {reps})");
+    let engine = engine_bench(&spec_for(RmKind::Bline), reps);
+    for (name, row) in [
+        ("reference", &engine.reference),
+        ("default", &engine.default),
+    ] {
+        println!(
+            "{name:>9}: {:.2} s ({:.0} events/s, {:.0} ns/event, digest {:016x})",
+            row.replay_s,
+            row.events as f64 / row.replay_s,
+            row.replay_s * 1e9 / row.events as f64,
+            row.digest,
+        );
+    }
     println!(
-        "serial: {:.2} s ({:.0} events/s)",
-        sharded.serial_replay_s,
-        sharded.serial_events as f64 / sharded.serial_replay_s,
+        "default vs reference: {:.2}x{}",
+        engine.reference.replay_s / engine.default.replay_s,
+        if engine.identical {
+            ""
+        } else {
+            "  ** DIVERGED FROM REFERENCE **"
+        },
     );
-    for row in &sharded.rows {
-        println!(
-            "{:>2} shards: {:.2} s ({:.0} events/s, {:.2}x vs serial){}",
-            row.shards,
-            row.replay_s,
-            row.events as f64 / row.replay_s,
-            sharded.serial_replay_s / row.replay_s,
-            if row.identical {
-                ""
-            } else {
-                "  ** DIVERGED FROM SERIAL **"
-            },
-        );
-    }
-
-    println!("\n## parallel engine: (shards x workers) combos vs the same serial baseline");
-    let par = parallel_bench(&spec_for(RmKind::Bline), &sharded);
-    println!("workers available: {}", par.workers_available);
-    for row in &par.rows {
-        println!(
-            "{:>2} shards x {} workers: {:.2} s ({:.0} events/s, {:.2}x vs serial){}",
-            row.shards,
-            row.workers,
-            row.replay_s,
-            row.events as f64 / row.replay_s,
-            par.serial_replay_s / row.replay_s,
-            if row.identical {
-                ""
-            } else {
-                "  ** DIVERGED FROM SERIAL **"
-            },
-        );
-    }
 
     println!(
         "\n## wild: Azure-characterization family, all RMs{}",
@@ -524,8 +470,7 @@ fn main() {
         &dispatch,
         horizon_s,
         &replay,
-        &sharded,
-        &par,
+        &engine,
         &nn,
         &utilization,
         &wild,
@@ -565,18 +510,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Replays one spec on the serial engine and then on the merge-sharded
-/// reference engine at shard counts {1, 2, 4, 8, one-per-core}, timing
-/// each replay and digesting each headline JSON against the serial
-/// baseline. The parallel epoch engine gets its own section
-/// ([`parallel_bench`]); pinning `use_merge_engine` here keeps this one
-/// measuring the same engine it always has.
-fn sharded_bench(spec: &RunSpec) -> ShardedSection {
-    let run_engine = |serial: bool, shards: usize| -> (f64, u64, u64) {
-        let (mut cfg, stream) = spec.build_parts();
-        cfg.use_serial_engine = serial;
-        cfg.use_merge_engine = !serial;
-        cfg.shards = shards;
+/// Replays `spec` `reps` times on each engine, alternating reference and
+/// default so drift on the host hits both alike, and keeps each engine's
+/// median replay time. `identical` records whether every replay of both
+/// engines produced the same digest and event count.
+fn engine_bench(spec: &RunSpec, reps: usize) -> EngineSection {
+    let run = |serial: bool| -> (f64, u64, u64) {
+        let mut spec = spec.clone();
+        spec.use_serial_engine = serial;
+        let (cfg, stream) = spec.build_parts();
         let rm = cfg
             .rm
             .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
@@ -589,84 +531,31 @@ fn sharded_bench(spec: &RunSpec) -> ShardedSection {
             fnv1a(r.to_json().as_bytes()),
         )
     };
-    let (serial_replay_s, serial_events, serial_digest) = run_engine(true, 0);
-    let mut counts: Vec<usize> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&n| fifer_sim::engine::resolve_shards(n))
-        .collect();
-    counts.push(fifer_sim::engine::resolve_shards(0)); // one per core
-    counts.sort_unstable();
-    counts.dedup();
-    let rows = counts
-        .into_iter()
-        .map(|shards| {
-            let (replay_s, events, digest) = run_engine(false, shards);
-            ShardedRow {
-                shards,
-                replay_s,
-                events,
-                digest,
-                identical: digest == serial_digest && events == serial_events,
-            }
-        })
-        .collect();
-    ShardedSection {
-        rm: "Bline",
-        // the floor gate must key off what this process can actually use
-        // (affinity masks and cgroup quotas included), not the pool's
-        // configured thread count
-        workers_available: fifer_bench::pool::detected_cores(),
-        serial_replay_s,
-        serial_events,
-        serial_digest,
-        rows,
+    let mut runs: [Vec<(f64, u64, u64)>; 2] = [Vec::new(), Vec::new()];
+    for _ in 0..reps {
+        runs[0].push(run(true));
+        runs[1].push(run(false));
     }
-}
-
-/// Replays the sharded section's spec on the conservative-lookahead
-/// parallel epoch engine at explicit `(shards, workers)` combinations,
-/// pinning the pool size per run via `cfg.workers` (never inheriting the
-/// host default), and digests each headline JSON against the serial
-/// baseline already measured by [`sharded_bench`].
-fn parallel_bench(spec: &RunSpec, serial: &ShardedSection) -> ParallelSection {
-    let detected = fifer_bench::pool::detected_cores();
-    let auto_shards = fifer_sim::engine::resolve_shards(0);
-    let mut combos: Vec<(usize, usize)> = vec![(1, 1), (2, 2), (4, 2), (4, 4), (8, 4)];
-    combos.push((auto_shards, detected.min(auto_shards).max(1)));
-    combos.sort_unstable();
-    combos.dedup();
-    let rows = combos
-        .into_iter()
-        .map(|(shards, workers)| {
-            let (mut cfg, stream) = spec.build_parts();
-            cfg.shards = shards;
-            cfg.workers = workers;
-            let rm = cfg
-                .rm
-                .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
-            let sim = Simulation::with_resource_manager(cfg, &stream, rm);
-            let t0 = Instant::now();
-            let r = sim.run();
-            let replay_s = t0.elapsed().as_secs_f64();
-            let digest = fnv1a(r.to_json().as_bytes());
-            ParallelRow {
-                shards,
-                workers,
-                replay_s,
-                events: r.events_processed,
-                digest,
-                identical: digest == serial.serial_digest
-                    && r.events_processed == serial.serial_events,
-            }
-        })
-        .collect();
-    ParallelSection {
-        rm: serial.rm,
-        workers_available: detected,
-        serial_replay_s: serial.serial_replay_s,
-        serial_events: serial.serial_events,
-        serial_digest: serial.serial_digest,
-        rows,
+    let (_, events, digest) = runs[0][0];
+    let identical = runs
+        .iter()
+        .flatten()
+        .all(|&(_, e, d)| e == events && d == digest);
+    let [reference, default] = runs.map(|mut rows| {
+        rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (replay_s, events, digest) = rows[rows.len() / 2];
+        EngineRow {
+            replay_s,
+            events,
+            digest,
+        }
+    });
+    EngineSection {
+        rm: "Bline",
+        workers_available: fifer_bench::pool::detected_cores(),
+        reference,
+        default,
+        identical,
     }
 }
 
@@ -841,8 +730,7 @@ fn render_json(
     dispatch: &[DispatchRow],
     horizon_s: f64,
     replay: &[ReplayRow],
-    sharded: &ShardedSection,
-    par: &ParallelSection,
+    engine: &EngineSection,
     nn: &NnRow,
     utilization: &[UtilRow],
     wild: &WildSection,
@@ -892,54 +780,27 @@ fn render_json(
     }
     s.push_str("    }\n  },\n");
     s.push_str(&format!(
-        "  \"sharded\": {{\n    \"rm\": \"{}\",\n    \"workers_available\": {},\n    \"serial\": {{ \"replay_s\": {:.3}, \"events_processed\": {}, \"events_per_sec\": {:.0}, \"digest\": \"{:016x}\" }},\n    \"shard_counts\": {{\n",
-        sharded.rm,
-        sharded.workers_available,
-        sharded.serial_replay_s,
-        sharded.serial_events,
-        sharded.serial_events as f64 / sharded.serial_replay_s,
-        sharded.serial_digest,
+        "  \"engine\": {{\n    \"rm\": \"{}\",\n    \"workers_available\": {},\n",
+        engine.rm, engine.workers_available,
     ));
-    for (i, row) in sharded.rows.iter().enumerate() {
+    for (name, row) in [
+        ("reference", &engine.reference),
+        ("default", &engine.default),
+    ] {
         s.push_str(&format!(
-            "      \"{}\": {{ \"replay_s\": {:.3}, \"events_processed\": {}, \"events_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}, \"digest\": \"{:016x}\", \"identical_to_serial\": {} }}{}\n",
-            row.shards,
+            "    \"{name}\": {{ \"replay_s\": {:.3}, \"events_processed\": {}, \"events_per_sec\": {:.0}, \"ns_per_event\": {:.1}, \"digest\": \"{:016x}\" }},\n",
             row.replay_s,
             row.events,
             row.events as f64 / row.replay_s,
-            sharded.serial_replay_s / row.replay_s,
+            row.replay_s * 1e9 / row.events as f64,
             row.digest,
-            row.identical,
-            if i + 1 < sharded.rows.len() { "," } else { "" },
         ));
     }
-    s.push_str("    }\n  },\n");
     s.push_str(&format!(
-        "  \"parallel\": {{\n    \"rm\": \"{}\",\n    \"workers_available\": {},\n    \"serial\": {{ \"replay_s\": {:.3}, \"events_processed\": {}, \"events_per_sec\": {:.0}, \"digest\": \"{:016x}\" }},\n    \"combos\": {{\n",
-        par.rm,
-        par.workers_available,
-        par.serial_replay_s,
-        par.serial_events,
-        par.serial_events as f64 / par.serial_replay_s,
-        par.serial_digest,
+        "    \"speedup_vs_reference\": {:.2},\n    \"identical\": {}\n  }},\n",
+        engine.reference.replay_s / engine.default.replay_s,
+        engine.identical,
     ));
-    for (i, row) in par.rows.iter().enumerate() {
-        s.push_str(&format!(
-            "      \"{}x{}\": {{ \"shards\": {}, \"workers\": {}, \"replay_s\": {:.3}, \"events_processed\": {}, \"events_per_sec\": {:.0}, \"speedup_vs_serial\": {:.2}, \"digest\": \"{:016x}\", \"identical_to_serial\": {} }}{}\n",
-            row.shards,
-            row.workers,
-            row.shards,
-            row.workers,
-            row.replay_s,
-            row.events,
-            row.events as f64 / row.replay_s,
-            par.serial_replay_s / row.replay_s,
-            row.digest,
-            row.identical,
-            if i + 1 < par.rows.len() { "," } else { "" },
-        ));
-    }
-    s.push_str("    }\n  },\n");
     s.push_str(&format!(
         "  \"nn\": {{\n    \"model\": \"lstm\",\n    \"series_len\": {},\n    \"pretrain_ns\": {},\n    \"reference_pretrain_ns\": {},\n    \"pretrain_speedup\": {:.2},\n    \"forecast_calls\": {},\n    \"forecast_ns_per_call\": {:.0},\n    \"reference_forecast_ns_per_call\": {:.0},\n    \"forecast_speedup\": {:.2},\n",
         nn.series_len,
@@ -1055,87 +916,35 @@ fn validate(body: &str) -> Result<(), Vec<String>> {
             ));
         }
     }
-    // sharded section: bit-identity is enforced unconditionally; the
-    // scaling floor only where the hardware can express it
-    let workers = num_at(&doc, &mut problems, "sharded.workers_available");
-    num_at(&doc, &mut problems, "sharded.serial.events_per_sec");
-    match doc.path("sharded.shard_counts") {
-        Some(counts @ Json::Obj(_)) => {
-            for key in counts.keys().unwrap_or_default() {
-                num_at(
-                    &doc,
-                    &mut problems,
-                    &format!("sharded.shard_counts.{key}.events_per_sec"),
-                );
-                match counts.path(&format!("{key}.identical_to_serial")) {
-                    Some(Json::Bool(true)) => {}
-                    other => problems.push(format!(
-                        "sharded run at {key} shards is not identical to serial (got {other:?})"
-                    )),
-                }
-            }
-            if workers.is_some_and(|w| w >= 4.0) {
-                match counts.path("4.speedup_vs_serial").and_then(Json::as_f64) {
-                    Some(speedup) if speedup < MIN_SHARDED_SPEEDUP_AT_4 => {
-                        problems.push(format!(
-                            "sharded speedup at 4 shards {speedup:.2} below floor {MIN_SHARDED_SPEEDUP_AT_4}"
-                        ));
-                    }
-                    Some(_) => {}
-                    None => problems.push(
-                        "missing sharded.shard_counts.4.speedup_vs_serial on a >=4-core host"
-                            .to_string(),
-                    ),
-                }
-            }
+    // engine section: the default engine must replay the reference
+    // byte-for-byte (same digest, same event count), on every host
+    let workers = num_at(&doc, &mut problems, "engine.workers_available");
+    for engine in ["reference", "default"] {
+        for field in [
+            "replay_s",
+            "events_processed",
+            "events_per_sec",
+            "ns_per_event",
+        ] {
+            num_at(&doc, &mut problems, &format!("engine.{engine}.{field}"));
         }
-        _ => problems.push("missing object sharded.shard_counts".to_string()),
     }
-    // parallel section: digest identity at every (shards, workers) combo
-    // is unconditional; the ≥2× floor at ≥4 pinned workers only where the
-    // recorded core count can express it
-    let par_workers = num_at(&doc, &mut problems, "parallel.workers_available");
-    num_at(&doc, &mut problems, "parallel.serial.events_per_sec");
-    match doc.path("parallel.combos") {
-        Some(combos @ Json::Obj(_)) => {
-            let mut best_at_4: Option<f64> = None;
-            for key in combos.keys().unwrap_or_default() {
-                num_at(
-                    &doc,
-                    &mut problems,
-                    &format!("parallel.combos.{key}.events_per_sec"),
-                );
-                match combos.path(&format!("{key}.identical_to_serial")) {
-                    Some(Json::Bool(true)) => {}
-                    other => problems.push(format!(
-                        "parallel run at {key} is not identical to serial (got {other:?})"
-                    )),
-                }
-                let workers = combos
-                    .path(&format!("{key}.workers"))
-                    .and_then(Json::as_f64);
-                let speedup = combos
-                    .path(&format!("{key}.speedup_vs_serial"))
-                    .and_then(Json::as_f64);
-                if let (Some(w), Some(sp)) = (workers, speedup) {
-                    if w >= 4.0 {
-                        best_at_4 = Some(best_at_4.map_or(sp, |b: f64| b.max(sp)));
-                    }
-                }
-            }
-            if par_workers.is_some_and(|w| w >= 4.0) {
-                match best_at_4 {
-                    Some(sp) if sp < MIN_PARALLEL_SPEEDUP_AT_4 => problems.push(format!(
-                        "parallel speedup at >=4 workers {sp:.2} below floor {MIN_PARALLEL_SPEEDUP_AT_4}"
-                    )),
-                    Some(_) => {}
-                    None => problems.push(
-                        "no parallel combo with >=4 workers on a >=4-core host".to_string(),
-                    ),
-                }
-            }
-        }
-        _ => problems.push("missing object parallel.combos".to_string()),
+    num_at(&doc, &mut problems, "engine.speedup_vs_reference");
+    let digest_of = |engine: &str| match doc.path(&format!("engine.{engine}.digest")) {
+        Some(Json::Str(d)) => Some(d.clone()),
+        _ => None,
+    };
+    let events_of = |engine: &str| {
+        doc.path(&format!("engine.{engine}.events_processed"))
+            .and_then(Json::as_f64)
+    };
+    let (r, d) = (digest_of("reference"), digest_of("default"));
+    let identical = matches!(doc.path("engine.identical"), Some(Json::Bool(true)));
+    if !(identical && r.is_some() && r == d && events_of("reference") == events_of("default")) {
+        problems.push(format!(
+            "default engine is not identical to the reference \
+             (digests {r:?} vs {d:?}, every rep identical: {identical})"
+        ));
     }
     for field in [
         "series_len",

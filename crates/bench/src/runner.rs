@@ -79,11 +79,8 @@ pub struct RunSpec {
     pub min_warm_pool: usize,
     /// Number of isolated tenants (§2.1; 1 = the paper's evaluation).
     pub tenants: usize,
-    /// Event-engine shard count (0 = one per core). Results are
-    /// bit-identical at every shard count; this is a perf knob only.
-    pub shards: usize,
-    /// Run on the reference serial event engine instead of the sharded
-    /// one (the serial baseline of the `sharded` bench section).
+    /// Run on the reference one-heap event engine instead of the default
+    /// one (the reference row of the `engine` bench section).
     pub use_serial_engine: bool,
 }
 
@@ -105,7 +102,6 @@ impl RunSpec {
             share_stages: true,
             min_warm_pool: 0,
             tenants: 1,
-            shards: 0,
             use_serial_engine: false,
         }
     }
@@ -137,7 +133,6 @@ impl RunSpec {
             share_stages: true,
             min_warm_pool: 0,
             tenants: 1,
-            shards: 0,
             use_serial_engine: false,
         }
     }
@@ -151,10 +146,10 @@ impl RunSpec {
         self
     }
 
-    /// Cache key: every field that affects the result. The engine knobs
-    /// (`shards`, `use_serial_engine`) are deliberately absent — they are
-    /// proven bit-identical, so runs differing only in engine shape share
-    /// one cache entry.
+    /// Cache key: every field that affects the result. The engine switch
+    /// (`use_serial_engine`) is deliberately absent — the two engines are
+    /// proven bit-identical, so runs differing only in engine share one
+    /// cache entry.
     fn cache_key(&self) -> String {
         format!(
             "{:?}|{:?}|{}|{}|{}|{}|{}|{}|{}|{:?}|wp{}|tn{}",
@@ -206,7 +201,6 @@ impl RunSpec {
         cfg.share_stages = self.share_stages;
         cfg.min_warm_pool = self.min_warm_pool;
         cfg.tenants = self.tenants;
-        cfg.shards = self.shards;
         cfg.use_serial_engine = self.use_serial_engine;
         if cfg.rm.is_proactive() {
             // the paper pre-trains on 60% of the trace (§4.5.1)

@@ -1,8 +1,8 @@
 //! Minimal std-only work-stealing thread pool.
 //!
 //! Used by the experiment runner for whole-simulation sweeps and by the
-//! sharded event engine for intra-run phase work (idle scans, audit deep
-//! scans). Tasks are coarse and embarrassingly parallel, but their
+//! simulator for intra-run phase scans over large container tables (idle
+//! scans, audit deep scans). Tasks are coarse and embarrassingly parallel, but their
 //! durations are wildly uneven — a Fifer large-scale run takes an order of
 //! magnitude longer than a Bline prototype run. A fixed round-robin split
 //! therefore leaves workers idle at the tail. Here each worker owns a
@@ -15,7 +15,7 @@
 //! regardless of which worker ran what.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 
 /// Number of workers to use by default: one per available core.
 pub fn default_workers() -> usize {
@@ -117,208 +117,6 @@ where
         .collect()
 }
 
-/// The job a [`WorkerPool`] batch runs: a shared closure invoked once per
-/// task index. State the workers touch lives behind `Arc<Mutex<…>>` inside
-/// the closure's captures, so the pool needs no lifetime gymnastics.
-pub type Job = Arc<dyn Fn(usize) + Send + Sync + 'static>;
-
-/// A persistent fixed-size worker pool for fine-grained repeated batches.
-///
-/// [`execute`] spawns scoped threads per call — fine for coarse sweeps,
-/// far too expensive for the parallel event engine's epoch barrier, which
-/// fires tens of thousands of times per run with only microseconds of work
-/// each. `WorkerPool` keeps `workers - 1` threads parked on a condvar;
-/// [`run`](Self::run) wakes them for one indexed batch and blocks until
-/// every task has finished. The calling thread participates in the batch,
-/// so a one-worker pool spawns no threads and degenerates to an inline
-/// loop. `run` performs no heap allocation on the happy path — the
-/// engine's zero-steady-state-allocation pin depends on that.
-///
-/// Task indices are claimed atomically under the pool lock, so any worker
-/// may run any index; callers must not depend on the assignment. Results
-/// travel through the job's captured state.
-pub struct WorkerPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals parked workers that `generation` moved (or `shutdown` set).
-    work: Condvar,
-    /// Signals the caller that `finished` reached `tasks`.
-    done: Condvar,
-}
-
-struct PoolState {
-    job: Option<Job>,
-    tasks: usize,
-    /// Next unclaimed task index of the current batch.
-    next: usize,
-    /// Tasks completed in the current batch.
-    finished: usize,
-    /// Batch counter; bumping it is what wakes parked workers. Claims and
-    /// completion reports are generation-guarded so a worker that oversleeps
-    /// one batch can never claim into the next one with a stale job.
-    generation: u64,
-    /// A job panicked; the caller re-raises after the batch drains.
-    panicked: bool,
-    shutdown: bool,
-}
-
-impl WorkerPool {
-    /// Creates a pool of `workers` total workers (at least 1), spawning
-    /// `workers - 1` background threads.
-    pub fn new(workers: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                job: None,
-                tasks: 0,
-                next: 0,
-                finished: 0,
-                generation: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (1..workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
-        WorkerPool { shared, handles }
-    }
-
-    /// Total workers, including the calling thread.
-    pub fn workers(&self) -> usize {
-        self.handles.len() + 1
-    }
-
-    /// Runs `job` for every index in `0..tasks`, returning when all have
-    /// completed. The caller's thread participates; with no background
-    /// threads this is exactly an inline loop.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (as a fresh panic) if any job invocation panicked.
-    pub fn run(&self, tasks: usize, job: &Job) {
-        if tasks == 0 {
-            return;
-        }
-        if self.handles.is_empty() {
-            for i in 0..tasks {
-                job(i);
-            }
-            return;
-        }
-        let generation = {
-            let mut st = self.shared.state.lock().expect("worker pool poisoned");
-            st.job = Some(Arc::clone(job));
-            st.tasks = tasks;
-            st.next = 0;
-            st.finished = 0;
-            st.panicked = false;
-            st.generation += 1;
-            st.generation
-        };
-        self.shared.work.notify_all();
-        drain_batch(&self.shared, job, generation);
-        let mut st = self.shared.state.lock().expect("worker pool poisoned");
-        while st.finished < st.tasks {
-            st = self.shared.done.wait(st).expect("worker pool poisoned");
-        }
-        st.job = None;
-        if st.panicked {
-            drop(st);
-            panic!("worker pool job panicked");
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().expect("worker pool poisoned");
-            st.shutdown = true;
-        }
-        self.shared.work.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.workers())
-            .finish()
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    let mut seen = 0u64;
-    loop {
-        let (job, generation) = {
-            let mut st = shared.state.lock().expect("worker pool poisoned");
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.generation != seen {
-                    seen = st.generation;
-                    // The caller clears `job` once the batch has fully
-                    // drained, so a worker waking only after that point
-                    // finds a new generation with nothing to run — record
-                    // it as seen and park again.
-                    if let Some(job) = st.job.clone() {
-                        break (job, st.generation);
-                    }
-                    continue;
-                }
-                st = shared.work.wait(st).expect("worker pool poisoned");
-            }
-        };
-        drain_batch(shared, &job, generation);
-    }
-}
-
-/// Claims and runs task indices of batch `generation` until none remain,
-/// then reports the count (waking the caller once the batch completes).
-/// Claims from a different generation are refused: the caller cannot have
-/// started it while any of this batch's tasks were unreported.
-fn drain_batch(shared: &PoolShared, job: &Job, generation: u64) {
-    let mut ran = 0usize;
-    let mut panicked = false;
-    loop {
-        let i = {
-            let mut st = shared.state.lock().expect("worker pool poisoned");
-            if st.generation != generation || st.next >= st.tasks {
-                break;
-            }
-            let i = st.next;
-            st.next += 1;
-            i
-        };
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))).is_err() {
-            panicked = true;
-        }
-        ran += 1;
-    }
-    if ran > 0 || panicked {
-        let mut st = shared.state.lock().expect("worker pool poisoned");
-        debug_assert_eq!(st.generation, generation, "late report into a new batch");
-        st.finished += ran;
-        st.panicked |= panicked;
-        if st.finished >= st.tasks {
-            shared.done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,82 +166,5 @@ mod tests {
     fn detected_cores_is_positive() {
         assert!(detected_cores() >= 1);
         assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn worker_pool_runs_every_index_once_per_batch() {
-        for workers in [1, 2, 4] {
-            let pool = WorkerPool::new(workers);
-            assert_eq!(pool.workers(), workers);
-            let hits: Arc<Vec<AtomicUsize>> =
-                Arc::new((0..33).map(|_| AtomicUsize::new(0)).collect());
-            let job: Job = {
-                let hits = Arc::clone(&hits);
-                Arc::new(move |i| {
-                    hits[i].fetch_add(1, Ordering::SeqCst);
-                })
-            };
-            for round in 1..=5usize {
-                pool.run(33, &job);
-                for h in hits.iter() {
-                    assert_eq!(h.load(Ordering::SeqCst), round, "{workers} workers");
-                }
-            }
-            pool.run(0, &job); // empty batches are a no-op
-        }
-    }
-
-    #[test]
-    fn worker_pool_batches_see_all_prior_writes() {
-        // run's return is a synchronization point: the caller must observe
-        // every task's side effects, across many rapid batches
-        let pool = WorkerPool::new(3);
-        let sum = Arc::new(AtomicUsize::new(0));
-        let job: Job = {
-            let sum = Arc::clone(&sum);
-            Arc::new(move |i| {
-                sum.fetch_add(i + 1, Ordering::SeqCst);
-            })
-        };
-        for _ in 0..200 {
-            pool.run(7, &job);
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), 200 * (1..=7).sum::<usize>());
-    }
-
-    #[test]
-    fn worker_pool_tolerates_workers_waking_after_batch_completion() {
-        // Tiny batches in a wide pool: the caller routinely drains the
-        // whole batch (and clears the job) before a notified worker
-        // re-acquires the lock. A late waker must park again, not panic
-        // on the missing job — a panic here poisons the pool mutex and
-        // crashes every later run().
-        let pool = WorkerPool::new(4);
-        let sum = Arc::new(AtomicUsize::new(0));
-        let job: Job = {
-            let sum = Arc::clone(&sum);
-            Arc::new(move |i| {
-                sum.fetch_add(i + 1, Ordering::SeqCst);
-            })
-        };
-        for _ in 0..2000 {
-            pool.run(1, &job);
-        }
-        assert_eq!(sum.load(Ordering::SeqCst), 2000);
-    }
-
-    #[test]
-    fn worker_pool_job_panic_is_reraised() {
-        let pool = WorkerPool::new(2);
-        let job: Job = Arc::new(|i| {
-            if i == 3 {
-                panic!("boom");
-            }
-        });
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(8, &job)));
-        assert!(res.is_err(), "panic in a job must surface to the caller");
-        // the pool stays usable after a panicked batch
-        let ok: Job = Arc::new(|_| {});
-        pool.run(4, &ok);
     }
 }

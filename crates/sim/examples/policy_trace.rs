@@ -73,7 +73,6 @@ fn main() {
     // the custom policy, with the decision trace enabled
     let mut cfg = SimConfig::prototype(RmKind::Bline.config(), rate);
     cfg.trace.capacity = 65_536;
-    cfg.trace.jsonl = args.get(3).cloned();
     let (hedge, trace) =
         Simulation::with_resource_manager(cfg, &stream, Box::new(HedgePolicy)).run_with_trace();
 
@@ -108,6 +107,10 @@ fn main() {
     }
     println!("spawns by cause: {by_cause:?}");
     if let Some(path) = args.get(3) {
+        if let Err(e) = trace.export_jsonl(path) {
+            eprintln!("error: cannot write decision trace to {path}: {e}");
+            std::process::exit(1);
+        }
         println!("decision trace written to {path}");
     }
 }

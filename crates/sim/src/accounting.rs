@@ -190,8 +190,6 @@ impl Simulation<'_> {
             store_writes: counters.writes,
             events_processed: self.events_processed,
             peak_queue_depth: self.peak_queue_depth,
-            engine_shards: self.queue.shards(),
-            cross_shard_events: self.queue.cross_shard_events(),
         }
     }
 }

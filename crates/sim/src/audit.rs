@@ -29,15 +29,14 @@
 //!
 //! Cheap O(stages + nodes) checks run on every event. The full
 //! container-table scan runs every [`DEEP_SCAN_PERIOD`]th event on the
-//! reference serial engine; on the sharded engine it runs at **epoch
-//! barriers** — monitor-tick commits, where all phase work has settled —
-//! which keeps `--audit` usable at the 50k-core scale (a per-64-event
-//! full scan over a 100k-container table would dominate the run). Both
-//! cadences deep-scan once more after the queue drains, and a clean run
-//! reports zero violations under either. Large deep scans are partitioned
-//! into contiguous container/stage ranges checked in parallel (per-shard
-//! local conservation) and merged in index order, so the worker count
-//! never changes the violation list.
+//! reference engine; on the default engine it runs at monitor-tick
+//! commits, which keeps `--audit` usable at the 50k-core scale (a
+//! per-64-event full scan over a 100k-container table would dominate the
+//! run). Both cadences deep-scan once more after the queue drains, and a
+//! clean run reports zero violations under either. Large deep scans are
+//! partitioned into contiguous container/stage ranges checked in
+//! parallel and merged in index order, so the worker count never changes
+//! the violation list.
 
 use crate::cluster::Node;
 use crate::container::{Container, ContainerState};
@@ -48,7 +47,7 @@ use fifer_core::resources::ResourceVec;
 use fifer_core::scheduling::ContainerSelection;
 use fifer_metrics::SimTime;
 
-/// On the serial engine, deep scans run every this-many audited events;
+/// On the reference engine, deep scans run every this-many audited events;
 /// cheap conservation checks run on every one. The final commit always
 /// deep-scans.
 const DEEP_SCAN_PERIOD: u64 = 64;
@@ -84,14 +83,11 @@ impl Simulation<'_> {
         audit.checks += 1;
         let mut msgs = Vec::new();
         self.check_cheap(&mut msgs);
-        // Serial engine: deep-scan on a fixed event cadence. Sharded
-        // engine: deep-scan at epoch barriers (monitor-tick commits),
-        // where every shard's queues and phase work have settled.
+        // Reference engine: deep-scan on a fixed event cadence. Default
+        // engine: deep-scan at monitor-tick commits.
         let deep = match &self.queue {
-            EngineQueue::Serial(_) => audit.checks.is_multiple_of(DEEP_SCAN_PERIOD),
-            EngineQueue::Sharded(_) | EngineQueue::Parallel(_) => {
-                matches!(event, Event::MonitorTick)
-            }
+            EngineQueue::Reference(_) => audit.checks.is_multiple_of(DEEP_SCAN_PERIOD),
+            EngineQueue::Slab(_) => matches!(event, Event::MonitorTick),
         };
         if deep {
             self.check_deep(&mut msgs);

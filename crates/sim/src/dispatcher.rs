@@ -165,8 +165,7 @@ impl Simulation<'_> {
             // the crash lands partway through the execution, replacing the
             // finish event outright (the task never completes here)
             let frac = self.fault_rng.gen_range(0.05..0.95);
-            self.queue.schedule_owned(
-                cid as usize,
+            self.queue.schedule(
                 now + exec.mul_f64(frac),
                 Event::ContainerCrash {
                     container: cid,
@@ -174,11 +173,8 @@ impl Simulation<'_> {
                 },
             );
         } else {
-            self.queue.schedule_owned(
-                cid as usize,
-                now + exec,
-                Event::TaskFinish { container: cid },
-            );
+            self.queue
+                .schedule(now + exec, Event::TaskFinish { container: cid });
         }
         // idle → busy: a lender that went busy takes its lent headroom back
         // first, then the usage track steps up to the busy footprint

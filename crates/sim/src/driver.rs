@@ -33,10 +33,7 @@ use crate::cluster::Cluster;
 use crate::config::SimConfig;
 use crate::container::Container;
 use crate::energy::{EnergyMeter, PowerModel};
-use crate::engine::{
-    resolve_shards, resolve_workers, EngineQueue, Event, EventQueue, ParallelEventQueue,
-    ShardedEventQueue,
-};
+use crate::engine::{EngineQueue, Event, EventQueue, SlabEventQueue};
 use crate::fault::FaultKind;
 use crate::results::SimResult;
 use crate::stage::{StageRuntime, StageTask};
@@ -58,10 +55,10 @@ pub struct Simulation<'a> {
     pub(crate) stream: &'a JobStream,
     pub(crate) queue: EngineQueue,
     /// Worker threads for parallel phase work (idle scans, audit deep
-    /// scans): the shard count capped by available cores, 1 on the serial
-    /// engine. Purely a performance knob — partitioned phases merge their
-    /// results in deterministic index order, so any worker count produces
-    /// identical output.
+    /// scans): one per available core, 1 on the reference engine. Never
+    /// changes a result — partitioned phases merge their results in
+    /// deterministic index order, so any worker count produces identical
+    /// output.
     pub(crate) par_workers: usize,
     pub(crate) rng: StdRng,
     /// Separate RNG for fault draws, so the workload's stochastic path
@@ -238,23 +235,11 @@ impl<'a> Simulation<'a> {
         let slo_whole_run = SloAccountant::new(cfg.slo);
         let trace = SimTrace::new(cfg.trace.capacity);
         let (queue, par_workers) = if cfg.use_serial_engine {
-            (EngineQueue::Serial(EventQueue::new()), 1)
-        } else if cfg.use_merge_engine {
-            let shards = resolve_shards(cfg.shards);
-            let workers = shards.min(fifer_core::pool::default_workers());
-            (
-                EngineQueue::Sharded(ShardedEventQueue::new(shards)),
-                workers,
-            )
+            (EngineQueue::Reference(EventQueue::new()), 1)
         } else {
-            let shards = resolve_shards(cfg.shards);
-            let workers = resolve_workers(cfg.workers, shards);
-            let lookahead = cfg
-                .lookahead
-                .unwrap_or_else(|| derive_lookahead(&cfg, &stages, &apps));
             (
-                EngineQueue::Parallel(ParallelEventQueue::new(shards, workers, lookahead)),
-                workers,
+                EngineQueue::Slab(SlabEventQueue::new()),
+                fifer_core::pool::default_workers(),
             )
         };
         Simulation {
@@ -322,12 +307,8 @@ impl<'a> Simulation<'a> {
     }
 
     /// Runs the simulation and also returns the decision trace (empty
-    /// unless `cfg.trace.capacity > 0`). With `cfg.trace.jsonl` set, the
-    /// retained events are additionally exported as JSON Lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured JSONL export path cannot be written.
+    /// unless `cfg.trace.capacity > 0`); export it with
+    /// [`SimTrace::export_jsonl`].
     pub fn run_with_trace(mut self) -> (SimResult, SimTrace) {
         // startup hook: SBatch provisions its fixed pool up front (§5.3)
         let mut views = std::mem::take(&mut self.stage_views);
@@ -344,13 +325,11 @@ impl<'a> Simulation<'a> {
         self.stage_views = views;
         self.decisions = out;
 
-        // arrivals are a static, time-ordered run: the sharded engine
-        // stores them as per-shard sorted slabs read through cursors (O(1)
-        // per event) instead of heaping the entire stream up front
-        for (i, job) in self.stream.iter().enumerate() {
-            self.queue
-                .preload_arrival(job.arrival, Event::JobArrival { job: i });
-        }
+        // arrivals are a static, time-ordered run: the engine reads them
+        // from a sorted slab through a cursor (O(1) per event) instead of
+        // heaping the entire stream up front
+        self.queue
+            .load_arrivals(self.stream.iter().map(|job| job.arrival));
         if !self.stream.is_empty() {
             if self.rm.wants_reactive_ticks() {
                 self.queue.schedule(
@@ -401,11 +380,6 @@ impl<'a> Simulation<'a> {
             self.audit_final();
         }
         let trace = std::mem::take(&mut self.trace);
-        if let Some(path) = self.cfg.trace.jsonl.clone() {
-            trace
-                .export_jsonl(&path)
-                .unwrap_or_else(|e| panic!("writing decision trace to {path}: {e}"));
-        }
         (self.finish(), trace)
     }
 
@@ -595,11 +569,8 @@ impl<'a> Simulation<'a> {
             // part of the chain's runtime, not queuing
             j.breakdown.exec += overhead;
             self.in_transition += 1;
-            self.queue.schedule_owned(
-                task.job,
-                now + overhead,
-                Event::StageEnqueue { job: task.job },
-            );
+            self.queue
+                .schedule(now + overhead, Event::StageEnqueue { job: task.job });
         }
 
         // keep the container busy: its local queue first (mechanism), then
@@ -830,42 +801,6 @@ impl<'a> Simulation<'a> {
                 .schedule(now + self.cfg.monitor_interval, Event::MonitorTick);
         }
     }
-}
-
-/// Derives the parallel engine's conservative lookahead window from the
-/// run's minimum cross-shard interaction latency: the smallest delay any
-/// event handler can put between a commit and the events it schedules.
-/// Candidates are chain hand-off overheads (stage→stage transitions),
-/// the cold-start floor (warm-node cold start at the 0.9 jitter bound),
-/// the tick intervals, and the fault plan's minimum latency; the result
-/// is clamped to `[100µs, 1s]`. The window is a pure throughput knob —
-/// commit-order identity holds for any value (see [`crate::engine`]) —
-/// so events that undercut it (same-instant warm-ups, sub-window crash
-/// points) merely take the engine's slower overflow path.
-pub(crate) fn derive_lookahead(
-    cfg: &SimConfig,
-    stages: &[StageRuntime],
-    apps: &BTreeMap<(usize, Application), AppRuntime>,
-) -> SimDuration {
-    let mut min: Option<SimDuration> = None;
-    let mut fold = |d: SimDuration| {
-        if !d.is_zero() {
-            min = Some(min.map_or(d, |m| m.min(d)));
-        }
-    };
-    for app in apps.values() {
-        fold(app.transition_overhead);
-    }
-    for s in stages {
-        // 0.9 is the lower edge of the spawn jitter band (lifecycle.rs)
-        fold(s.microservice.spec().warm_node_cold_start().mul_f64(0.9));
-    }
-    fold(cfg.reactive_interval.min(cfg.monitor_interval));
-    if let Some(d) = cfg.faults.min_event_latency() {
-        fold(d);
-    }
-    min.unwrap_or(SimDuration::from_millis(1))
-        .clamp(SimDuration::from_micros(100), SimDuration::from_secs(1))
 }
 
 #[cfg(test)]
@@ -1100,15 +1035,6 @@ mod tests {
         let stream = small_stream(1.0, 5, 1);
         let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 1.0);
         cfg.early_exit_prob = 1.5;
-        let _ = Simulation::new(cfg, &stream);
-    }
-
-    #[test]
-    #[should_panic(expected = "JSONL export requires a nonzero trace capacity")]
-    fn jsonl_without_capacity_rejected() {
-        let stream = small_stream(1.0, 5, 1);
-        let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 1.0);
-        cfg.trace.jsonl = Some("/tmp/never-written.jsonl".into());
         let _ = Simulation::new(cfg, &stream);
     }
 

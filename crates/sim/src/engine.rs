@@ -1,59 +1,28 @@
 //! The discrete-event engine: a time-ordered event queue with a
-//! deterministic tie-break sequence number, in three interchangeable
-//! implementations.
+//! deterministic tie-break sequence number.
 //!
-//! [`EventQueue`] is the reference serial engine: one binary heap over
-//! every pending event. [`ShardedEventQueue`] partitions the pending set
-//! across shards — each shard owns a pre-sorted arrival run (consumed by
-//! cursor, so the bulk of a replay never touches a heap) plus a small heap
-//! for dynamically scheduled events — and commits events by merging the
-//! shard heads in `(time, seq)` order. [`ParallelEventQueue`] — the
-//! default engine — keeps the same shards but drains them in conservative
-//! lookahead *epochs*: per epoch a worker pool empties every shard's
-//! window `[T, T + lookahead]` concurrently, the windows are merged into
-//! one sorted commit slab, and events scheduled mid-commit that land back
-//! inside the open window are served through a small overflow heap so the
-//! committed order is exact for *any* window size (see DESIGN.md §12/§16).
+//! [`SlabEventQueue`] is the engine every run uses. A replay's job
+//! arrivals are known up front and already in time order, so they live in
+//! a pre-sorted *arrival slab* read through a cursor — O(1) per arrival,
+//! and the bulk of a replay never touches a heap. Everything scheduled
+//! while the run is in progress (stage hand-offs, task completions,
+//! warm-ups, ticks, faults) goes into one binary heap, and each pop
+//! compares the two heads once.
 //!
-//! Sequence numbers are assigned from one global counter at schedule
-//! time, so the merged order is the *exact* total order the serial engine
-//! produces: every run is bit-identical across engines, shard counts and
-//! worker counts by construction. Cross-shard schedules land in the
-//! owning shard's exchange heap and are counted, never reordered.
+//! [`EventQueue`] is the reference engine: one binary heap over every
+//! pending event, arrivals included. It is kept as the differential
+//! oracle behind [`SimConfig::use_serial_engine`](crate::config::SimConfig),
+//! next to `use_reference_scheduler` and `use_reference_nn`.
+//!
+//! Both engines draw sequence numbers from one counter, in schedule-call
+//! order, and commit in `(time, seq)` order, so they produce the same
+//! total order — every run is bit-identical across the two by
+//! construction (DESIGN.md §12).
 
 use crate::fault::FaultKind;
-use fifer_core::pool::{Job, WorkerPool};
-use fifer_metrics::{SimDuration, SimTime};
+use fifer_metrics::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
-
-/// Hard cap on the shard count: beyond this the per-event head merge
-/// costs more than any queue-locality win.
-pub const MAX_SHARDS: usize = 64;
-
-/// Resolves a configured shard count: `0` (auto) means one shard per
-/// available core, clamped to `[1, MAX_SHARDS]`.
-pub fn resolve_shards(requested: usize) -> usize {
-    let n = if requested == 0 {
-        fifer_core::pool::default_workers()
-    } else {
-        requested
-    };
-    n.clamp(1, MAX_SHARDS)
-}
-
-/// Resolves a configured epoch-worker count against a resolved shard
-/// count: `0` (auto) means one worker per available core, and a worker
-/// beyond the shard count would never have a drain task to claim.
-pub fn resolve_workers(requested: usize, shards: usize) -> usize {
-    let n = if requested == 0 {
-        fifer_core::pool::default_workers()
-    } else {
-        requested
-    };
-    n.clamp(1, shards.max(1))
-}
 
 /// Events the simulator processes. Variants carry indices into the
 /// driver's tables rather than references, keeping the queue `'static`.
@@ -209,374 +178,49 @@ pub(crate) fn partition_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<
     out
 }
 
-/// Which shard owns an event. Routing affects only *where* a pending
-/// event is stored (queue locality), never *when* it commits — the merge
-/// is a total order over `(time, seq)` regardless — so a cheap modulo
-/// over the event's subject is enough: jobs, containers and nodes spread
-/// round-robin, engine ticks live on shard 0.
-fn owner_shard(event: &Event, shards: usize) -> usize {
-    match *event {
-        Event::JobArrival { job } | Event::StageEnqueue { job } => job % shards,
-        Event::TaskFinish { container }
-        | Event::ContainerWarm { container }
-        | Event::ContainerCrash { container, .. } => container as usize % shards,
-        Event::NodeDown { node } | Event::NodeUp { node } => node % shards,
-        Event::ReactiveTick | Event::MonitorTick => 0,
-    }
-}
-
-/// One shard's pending events: the static arrival run (pre-sorted, read
-/// through a cursor in O(1) per event) and the dynamic exchange heap that
-/// receives everything scheduled mid-run.
+/// The default event engine: a pre-sorted arrival slab read by a cursor,
+/// plus one heap for dynamically scheduled events.
+///
+/// The slab holds one [`SimTime`] per job: arrival `k` is
+/// [`Event::JobArrival`] `{ job: k }` with sequence number
+/// `first_arrival_seq + k`, exactly the numbers the reference engine
+/// assigns when it schedules the same arrivals one by one. A pop takes
+/// whichever of the two heads has the smaller `(time, seq)` key, so the
+/// committed order is the reference engine's total order.
+///
+/// # Example
+///
+/// ```
+/// use fifer_sim::engine::{Event, SlabEventQueue};
+/// use fifer_metrics::SimTime;
+///
+/// let mut q = SlabEventQueue::new();
+/// q.load_arrivals([SimTime::from_secs(1), SimTime::from_secs(3)]);
+/// q.schedule(SimTime::from_secs(2), Event::MonitorTick);
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), Event::JobArrival { job: 0 })));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(2), Event::MonitorTick)));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(3), Event::JobArrival { job: 1 })));
+/// assert_eq!(q.pop(), None);
+/// ```
 #[derive(Debug, Default)]
-struct ShardQueue {
-    arrivals: Vec<Scheduled>,
+pub struct SlabEventQueue {
+    /// Arrival times of jobs `0..n`, in non-decreasing order.
+    arrivals: Vec<SimTime>,
+    /// Index of the next arrival to commit.
     cursor: usize,
+    /// Sequence number of job 0's arrival.
+    first_arrival_seq: u64,
     heap: BinaryHeap<Scheduled>,
-}
-
-impl ShardQueue {
-    /// The shard-local minimum `(time, seq)` key, if any event is pending.
-    fn head_key(&self) -> Option<(SimTime, u64)> {
-        let a = self.arrivals.get(self.cursor).map(|s| (s.at, s.seq));
-        let h = self.heap.peek().map(|s| (s.at, s.seq));
-        match (a, h) {
-            (Some(a), Some(h)) => Some(a.min(h)),
-            (x, y) => x.or(y),
-        }
-    }
-
-    /// Pops the shard-local earliest event.
-    fn pop_head(&mut self) -> Option<Scheduled> {
-        let from_arrivals = match (self.arrivals.get(self.cursor), self.heap.peek()) {
-            (Some(a), Some(h)) => (a.at, a.seq) < (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_arrivals {
-            let s = self.arrivals[self.cursor];
-            self.cursor += 1;
-            Some(s)
-        } else {
-            self.heap.pop()
-        }
-    }
-
-    /// Moves every pending event with `at <= horizon` into `out`. The
-    /// arrival run contributes a contiguous prefix (one `partition_point`
-    /// plus a memcpy); the heap is popped while its head is in the window.
-    /// `out` is *not* sorted across the two sources — the epoch engine
-    /// sorts the merged slab once.
-    fn drain_window(&mut self, horizon: SimTime, out: &mut Vec<Scheduled>) {
-        let in_window = self.arrivals[self.cursor..].partition_point(|s| s.at <= horizon);
-        out.extend_from_slice(&self.arrivals[self.cursor..self.cursor + in_window]);
-        self.cursor += in_window;
-        while self.heap.peek().is_some_and(|s| s.at <= horizon) {
-            out.push(self.heap.pop().expect("peeked head vanished"));
-        }
-    }
-}
-
-/// The sharded event engine: per-shard queues committed in one global
-/// `(time, seq)` total order.
-///
-/// Bit-identity with [`EventQueue`] holds by construction: sequence
-/// numbers come from a single counter shared by every shard, assigned in
-/// schedule-call order — which the serialized commit loop makes identical
-/// across engines — and [`ShardedEventQueue::pop`] always yields the
-/// global minimum over the shard heads. The shard count therefore changes
-/// the storage layout and the available phase parallelism, never a single
-/// simulation outcome.
-#[derive(Debug)]
-pub struct ShardedEventQueue {
-    shards: Vec<ShardQueue>,
     next_seq: u64,
     now: SimTime,
-    len: usize,
-    /// Shard of the most recently committed event (`None` before the
-    /// first pop, i.e. during startup scheduling).
-    draining: Option<usize>,
-    cross_shard_events: u64,
-}
-
-impl ShardedEventQueue {
-    /// Creates an empty engine with `shards` shards (clamped to at least
-    /// one) at time zero.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS);
-        ShardedEventQueue {
-            shards: (0..shards).map(|_| ShardQueue::default()).collect(),
-            next_seq: 0,
-            now: SimTime::ZERO,
-            len: 0,
-            draining: None,
-            cross_shard_events: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Events scheduled while a *different* shard's event was committing —
-    /// the cross-shard exchange traffic (job handoffs across stage shards,
-    /// tick-driven spawns, fault events landing on remote containers).
-    pub fn cross_shard_events(&self) -> u64 {
-        self.cross_shard_events
-    }
-
-    /// Appends one event to its owner shard's static arrival run. Only
-    /// valid before the first [`Self::pop`], and calls must come in
-    /// non-decreasing time order (job streams are arrival-ordered), which
-    /// keeps each shard's run sorted by `(time, seq)` as a subsequence of
-    /// the global order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after draining started or out of time order.
-    pub fn preload_arrival(&mut self, at: SimTime, event: Event) {
-        assert!(
-            self.draining.is_none(),
-            "arrival preload after draining started"
-        );
-        let shard = owner_shard(&event, self.shards.len());
-        let run = &mut self.shards[shard].arrivals;
-        assert!(
-            run.last().is_none_or(|p| p.at <= at),
-            "arrival preload out of time order"
-        );
-        run.push(Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        });
-        self.next_seq += 1;
-        self.len += 1;
-    }
-
-    /// Schedules `event` at absolute time `at`, routing it to its owner
-    /// shard's exchange heap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let shard = owner_shard(&event, self.shards.len());
-        self.push_dynamic(shard, at, event);
-    }
-
-    /// Schedules `event` on the shard owning subject id `owner` (container
-    /// id, job index, node index) — the fast path for call sites that
-    /// already know the owner and need not re-derive it from the event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_owned(&mut self, owner: usize, at: SimTime, event: Event) {
-        let shard = owner % self.shards.len();
-        debug_assert_eq!(shard, owner_shard(&event, self.shards.len()));
-        self.push_dynamic(shard, at, event);
-    }
-
-    fn push_dynamic(&mut self, shard: usize, at: SimTime, event: Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.shards[shard].heap.push(Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        });
-        self.next_seq += 1;
-        self.len += 1;
-        if self.draining.is_some_and(|d| d != shard) {
-            self.cross_shard_events += 1;
-        }
-    }
-
-    /// Pops the globally earliest event — the minimum `(time, seq)` over
-    /// every shard head — advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (i, sq) in self.shards.iter().enumerate() {
-            if let Some(k) = sq.head_key() {
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let (shard, _) = best?;
-        let s = self.shards[shard].pop_head().expect("head key was present");
-        debug_assert!(s.at >= self.now, "shard yielded an out-of-order event");
-        self.now = s.at;
-        self.len -= 1;
-        self.draining = Some(shard);
-        Some((s.at, s.event))
-    }
-
-    /// Number of pending events across all shards.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Epoch batches below this many events are drained inline even when the
-/// pool has threads: waking workers costs single-digit microseconds per
-/// epoch, which only pays off once an epoch carries real work. The
-/// previous epoch's size is the estimate (epoch sizes move smoothly), so
-/// the choice is deterministic in the event sequence alone — it can never
-/// affect results, only which thread does the draining.
-const PAR_DRAIN_MIN: usize = 2_048;
-
-/// One epoch-engine shard: the pending-event queue plus the reused buffer
-/// its window drains into. Lives behind a `Mutex` shared with the worker
-/// pool; between epoch barriers only the engine thread touches it, so
-/// those locks are uncontended.
-#[derive(Debug, Default)]
-struct EpochShard {
-    queue: ShardQueue,
-    run: Vec<Scheduled>,
-}
-
-/// State shared between the [`ParallelEventQueue`] handle and its pool
-/// workers (which are `'static`, hence the `Arc`).
-#[derive(Debug)]
-struct EpochShared {
-    shards: Vec<Mutex<EpochShard>>,
-    /// Inclusive upper time bound of the epoch currently being drained.
-    horizon: Mutex<SimTime>,
-}
-
-const POISONED: &str = "engine shard poisoned";
-
-/// The parallel epoch engine: sharded pending-event storage drained in
-/// conservative lookahead windows by a persistent worker pool, committed
-/// in the global `(time, seq)` total order.
-///
-/// # The epoch/lookahead commit model
-///
-/// When the current epoch is exhausted, [`pop`](Self::pop) runs the epoch
-/// barrier: it takes `T` = the minimum `(time, seq)` head over all
-/// shards, sets the window `[T, T + lookahead]`, and has every shard
-/// drain its in-window events into a per-shard buffer — concurrently, on
-/// the pool — before concatenating and sorting them into one commit slab.
-/// Commits then walk the slab head-to-head against a small *overflow*
-/// heap, which receives any event scheduled during the commit phase whose
-/// time lands back inside the open window (zero-latency warm-ups,
-/// same-instant dispatch fan-out). Events scheduled beyond the window go
-/// to their owner shard's exchange heap and are picked up by a later
-/// epoch.
-///
-/// # Determinism
-///
-/// Bit-identity with [`EventQueue`] holds by construction for **any**
-/// lookahead, shard count and worker count: the slab holds exactly the
-/// pending events with `time ≤ horizon` at barrier time, every event
-/// scheduled mid-commit with `time ≤ horizon` joins through the overflow
-/// heap carrying a globally-assigned sequence number, and both structures
-/// are merged in `(time, seq)` order — so the committed sequence is the
-/// serial engine's total order, always. The lookahead is purely a
-/// throughput knob: wider windows amortize the barrier over more events
-/// but push more mid-commit schedules through the (slower) overflow path.
-/// A window no larger than the minimum cross-shard interaction latency
-/// (min chain hand-off overhead, cold-start floor, tick interval) keeps
-/// the overflow path reserved for genuinely simultaneous events.
-pub struct ParallelEventQueue {
-    shared: Arc<EpochShared>,
-    pool: WorkerPool,
-    /// The per-shard window drain, built once (capturing `shared`) so
-    /// epoch barriers allocate nothing.
-    drain_job: Job,
-    /// The current epoch's merged, sorted commit run, read by cursor.
-    slab: Vec<Scheduled>,
-    cursor: usize,
-    /// Mid-commit schedules that landed inside the open window.
-    overflow: BinaryHeap<Scheduled>,
-    /// Inclusive upper bound of the current window (mirror of the shared
-    /// copy, readable without a lock).
-    horizon: SimTime,
-    lookahead: SimDuration,
-    next_seq: u64,
-    now: SimTime,
-    len: usize,
-    /// Owner shard of the event currently committing (`None` before the
-    /// first pop), for cross-shard exchange accounting.
-    committing: Option<usize>,
-    cross_shard_events: u64,
-    /// Events that entered commit through the overflow heap.
-    overflow_events: u64,
-    /// Epoch barriers run.
-    epochs: u64,
-    /// Set by the first [`Self::pop`] (even one that finds the queue
-    /// empty and runs no barrier); arrival preloads are refused after.
+    /// Set by the first [`Self::pop`]; arrival loads are refused after.
     draining: bool,
 }
 
-impl ParallelEventQueue {
-    /// Creates an empty engine at time zero with `shards` shards (clamped
-    /// to `[1, MAX_SHARDS]`), a pool of `workers` epoch workers (`0` auto:
-    /// one per available core; otherwise clamped to `[1, shards]`; 1
-    /// drains inline on the engine thread), and the given lookahead
-    /// window.
-    pub fn new(shards: usize, workers: usize, lookahead: SimDuration) -> Self {
-        let shards = shards.clamp(1, MAX_SHARDS);
-        let workers = resolve_workers(workers, shards);
-        let shared = Arc::new(EpochShared {
-            shards: (0..shards)
-                .map(|_| Mutex::new(EpochShard::default()))
-                .collect(),
-            horizon: Mutex::new(SimTime::ZERO),
-        });
-        let job_shared = Arc::clone(&shared);
-        let drain_job: Job = Arc::new(move |i| {
-            let horizon = *job_shared.horizon.lock().expect(POISONED);
-            let shard = &mut *job_shared.shards[i].lock().expect(POISONED);
-            shard.run.clear();
-            shard.queue.drain_window(horizon, &mut shard.run);
-        });
-        ParallelEventQueue {
-            shared,
-            pool: WorkerPool::new(workers),
-            drain_job,
-            slab: Vec::new(),
-            cursor: 0,
-            overflow: BinaryHeap::new(),
-            horizon: SimTime::ZERO,
-            lookahead,
-            next_seq: 0,
-            now: SimTime::ZERO,
-            len: 0,
-            committing: None,
-            cross_shard_events: 0,
-            overflow_events: 0,
-            epochs: 0,
-            draining: false,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shared.shards.len()
-    }
-
-    /// Number of epoch workers (including the engine thread).
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// The conservative lookahead window.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
+impl SlabEventQueue {
+    /// Creates an empty queue at time zero.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// The current simulation time (the time of the last popped event).
@@ -584,300 +228,126 @@ impl ParallelEventQueue {
         self.now
     }
 
-    /// Epoch barriers run so far.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Events that committed through the overflow heap — i.e. were
-    /// scheduled while their own window was already open. Zero whenever
-    /// the lookahead is below the minimum scheduling latency of the run
-    /// (the conservative-window safety property the proptests pin).
-    pub fn overflow_events(&self) -> u64 {
-        self.overflow_events
-    }
-
-    /// Events scheduled while a *different* shard's event was committing —
-    /// the cross-shard exchange traffic.
-    pub fn cross_shard_events(&self) -> u64 {
-        self.cross_shard_events
-    }
-
-    /// Appends one event to its owner shard's static arrival run. Only
-    /// valid before the first [`Self::pop`], in non-decreasing time order.
+    /// Loads the run's job arrivals: `arrivals[k]` is the arrival time of
+    /// job `k`. Takes one sequence number per job, in job order, so the
+    /// arrivals order against other events exactly as if each had been
+    /// [scheduled](Self::schedule) here in turn.
     ///
     /// # Panics
     ///
-    /// Panics if called after draining started or out of time order.
-    pub fn preload_arrival(&mut self, at: SimTime, event: Event) {
-        assert!(!self.draining, "arrival preload after draining started");
-        let shard = owner_shard(&event, self.shards());
-        let run = &mut self.shared.shards[shard]
-            .lock()
-            .expect(POISONED)
-            .queue
-            .arrivals;
+    /// Panics if arrivals were already loaded, if draining has started, or
+    /// if the times are not in non-decreasing order.
+    pub fn load_arrivals(&mut self, arrivals: impl IntoIterator<Item = SimTime>) {
         assert!(
-            run.last().is_none_or(|p| p.at <= at),
-            "arrival preload out of time order"
+            !self.draining && self.arrivals.is_empty(),
+            "arrivals load once, before the first pop"
         );
-        run.push(Scheduled {
+        self.arrivals.extend(arrivals);
+        assert!(self.arrivals.is_sorted(), "arrivals out of time order");
+        self.first_arrival_seq = self.next_seq;
+        self.next_seq += self.arrivals.len() as u64;
+    }
+
+    /// Schedules `event` at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn schedule(&mut self, at: SimTime, event: Event) {
+        assert!(at >= self.now, "cannot schedule into the past");
+        self.heap.push(Scheduled {
             at,
             seq: self.next_seq,
             event,
         });
         self.next_seq += 1;
-        self.len += 1;
     }
 
-    /// Schedules `event` at absolute time `at`, routing it to its owner
-    /// shard (or to the overflow heap when `at` falls inside the epoch
-    /// window currently committing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        let shard = owner_shard(&event, self.shards());
-        self.push_dynamic(shard, at, event);
-    }
-
-    /// Schedules `event` on the shard owning subject id `owner` — the fast
-    /// path for call sites that already know the owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_owned(&mut self, owner: usize, at: SimTime, event: Event) {
-        let shard = owner % self.shards();
-        debug_assert_eq!(shard, owner_shard(&event, self.shards()));
-        self.push_dynamic(shard, at, event);
-    }
-
-    fn push_dynamic(&mut self, shard: usize, at: SimTime, event: Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        let s = Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        };
-        self.next_seq += 1;
-        self.len += 1;
-        if self.committing.is_some() && at <= self.horizon {
-            // lands inside the open window: the already-drained slab can't
-            // receive it, so exact commit order flows through the overflow
-            // heap (its fresh sequence number slots it after every pending
-            // same-instant event, exactly where the serial heap puts it)
-            self.overflow.push(s);
-            self.overflow_events += 1;
-        } else {
-            self.shared.shards[shard]
-                .lock()
-                .expect(POISONED)
-                .queue
-                .heap
-                .push(s);
-        }
-        if self.committing.is_some_and(|d| d != shard) {
-            self.cross_shard_events += 1;
-        }
-    }
-
-    /// Pops the globally earliest event, advancing the clock to its time.
-    /// Runs the epoch barrier internally whenever the current window is
-    /// exhausted.
+    /// Pops the earliest event — the smaller `(time, seq)` of the arrival
+    /// cursor and the heap head — advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.draining = true;
-        loop {
-            let slab_head = self.slab.get(self.cursor).map(|s| (s.at, s.seq));
-            let over_head = self.overflow.peek().map(|s| (s.at, s.seq));
-            let s = match (slab_head, over_head) {
-                (Some(k), Some(o)) if k > o => self.overflow.pop().expect("peeked head vanished"),
-                (Some(_), _) => {
-                    let s = self.slab[self.cursor];
-                    self.cursor += 1;
-                    s
-                }
-                (None, Some(_)) => self.overflow.pop().expect("peeked head vanished"),
-                (None, None) => {
-                    if self.len == 0 || !self.advance_epoch() {
-                        return None;
-                    }
-                    continue;
-                }
-            };
-            debug_assert!(s.at >= self.now, "epoch yielded an out-of-order event");
-            self.now = s.at;
-            self.len -= 1;
-            self.committing = Some(owner_shard(&s.event, self.shards()));
-            return Some((s.at, s.event));
-        }
-    }
-
-    /// The epoch barrier: window selection, (possibly parallel) per-shard
-    /// drain, merge, sort. Returns `false` when no shard has a pending
-    /// event. Reuses the slab and every per-shard run buffer — steady-state
-    /// epochs allocate nothing once the buffers reach the run's high-water
-    /// epoch size.
-    fn advance_epoch(&mut self) -> bool {
-        debug_assert!(self.cursor == self.slab.len() && self.overflow.is_empty());
-        let parallel_worthwhile = self.slab.len() >= PAR_DRAIN_MIN;
-        self.slab.clear();
-        self.cursor = 0;
-        let mut next: Option<SimTime> = None;
-        for m in &self.shared.shards {
-            if let Some((at, _)) = m.lock().expect(POISONED).queue.head_key() {
-                next = Some(next.map_or(at, |t: SimTime| t.min(at)));
-            }
-        }
-        let Some(t) = next else { return false };
-        let horizon = t.saturating_add(self.lookahead);
-        *self.shared.horizon.lock().expect(POISONED) = horizon;
-        self.horizon = horizon;
-        if parallel_worthwhile {
-            self.pool.run(self.shards(), &self.drain_job);
+        let arrival = self
+            .arrivals
+            .get(self.cursor)
+            .map(|&at| (at, self.first_arrival_seq + self.cursor as u64));
+        let from_heap = match (arrival, self.heap.peek()) {
+            (Some(a), Some(h)) => (h.at, h.seq) < a,
+            (Some(_), None) => false,
+            (None, Some(_)) => true,
+            (None, None) => return None,
+        };
+        let (at, event) = if from_heap {
+            let s = self.heap.pop().expect("peeked head vanished");
+            (s.at, s.event)
         } else {
-            for i in 0..self.shards() {
-                (self.drain_job)(i);
-            }
-        }
-        for m in &self.shared.shards {
-            let shard = m.lock().expect(POISONED);
-            self.slab.extend_from_slice(&shard.run);
-        }
-        self.slab.sort_unstable_by_key(|s| (s.at, s.seq));
-        self.epochs += 1;
-        true
+            let job = self.cursor;
+            self.cursor += 1;
+            (self.arrivals[job], Event::JobArrival { job })
+        };
+        debug_assert!(at >= self.now, "engine yielded an out-of-order event");
+        self.now = at;
+        Some((at, event))
     }
 
-    /// Number of pending events (shard queues + current slab + overflow).
+    /// Number of pending events (arrivals not yet committed plus the heap).
     pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl std::fmt::Debug for ParallelEventQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelEventQueue")
-            .field("shards", &self.shards())
-            .field("workers", &self.workers())
-            .field("lookahead", &self.lookahead)
-            .field("now", &self.now)
-            .field("len", &self.len)
-            .field("epochs", &self.epochs)
-            .finish()
-    }
-}
-
-/// The engine behind one simulation run: the reference serial heap, the
-/// head-merging sharded queue set, or the parallel epoch engine (the
-/// default). The driver talks to this enum only; the
-/// [`SimConfig::use_serial_engine`](crate::config::SimConfig) and
-/// `use_merge_engine` differential flags pick the variant.
-#[derive(Debug)]
-pub enum EngineQueue {
-    /// The reference single-heap engine.
-    Serial(EventQueue),
-    /// The head-merging sharded engine (any shard count, including 1).
-    Sharded(ShardedEventQueue),
-    /// The parallel epoch engine (any shard/worker count, including 1/1).
-    Parallel(ParallelEventQueue),
-}
-
-impl EngineQueue {
-    /// The current simulation time.
-    pub fn now(&self) -> SimTime {
-        match self {
-            EngineQueue::Serial(q) => q.now(),
-            EngineQueue::Sharded(q) => q.now(),
-            EngineQueue::Parallel(q) => q.now(),
-        }
-    }
-
-    /// Schedules `event` at `at` (routing by event content when sharded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        match self {
-            EngineQueue::Serial(q) => q.schedule(at, event),
-            EngineQueue::Sharded(q) => q.schedule(at, event),
-            EngineQueue::Parallel(q) => q.schedule(at, event),
-        }
-    }
-
-    /// Schedules `event` with a known owner subject id (ignored by the
-    /// serial engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_owned(&mut self, owner: usize, at: SimTime, event: Event) {
-        match self {
-            EngineQueue::Serial(q) => q.schedule(at, event),
-            EngineQueue::Sharded(q) => q.schedule_owned(owner, at, event),
-            EngineQueue::Parallel(q) => q.schedule_owned(owner, at, event),
-        }
-    }
-
-    /// Preloads one arrival (sorted-run fast path when sharded, a plain
-    /// schedule when serial).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order preloads (sharded) or past times.
-    pub fn preload_arrival(&mut self, at: SimTime, event: Event) {
-        match self {
-            EngineQueue::Serial(q) => q.schedule(at, event),
-            EngineQueue::Sharded(q) => q.preload_arrival(at, event),
-            EngineQueue::Parallel(q) => q.preload_arrival(at, event),
-        }
-    }
-
-    /// Pops the earliest event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            EngineQueue::Serial(q) => q.pop(),
-            EngineQueue::Sharded(q) => q.pop(),
-            EngineQueue::Parallel(q) => q.pop(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            EngineQueue::Serial(q) => q.len(),
-            EngineQueue::Sharded(q) => q.len(),
-            EngineQueue::Parallel(q) => q.len(),
-        }
+        self.arrivals.len() - self.cursor + self.heap.len()
     }
 
     /// `true` when no events remain.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
-    /// Shard count (1 for the serial engine).
-    pub fn shards(&self) -> usize {
+/// The engine behind one simulation run: the default slab engine, or the
+/// reference one-heap engine when
+/// [`SimConfig::use_serial_engine`](crate::config::SimConfig) is set. The
+/// driver talks to this enum only.
+#[derive(Debug)]
+pub(crate) enum EngineQueue {
+    /// The reference single-heap engine.
+    Reference(EventQueue),
+    /// The arrival-slab engine (the default).
+    Slab(SlabEventQueue),
+}
+
+impl EngineQueue {
+    /// Schedules `event` at `at`.
+    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
         match self {
-            EngineQueue::Serial(_) => 1,
-            EngineQueue::Sharded(q) => q.shards(),
-            EngineQueue::Parallel(q) => q.shards(),
+            EngineQueue::Reference(q) => q.schedule(at, event),
+            EngineQueue::Slab(q) => q.schedule(at, event),
         }
     }
 
-    /// Cross-shard exchange events (0 for the serial engine).
-    pub fn cross_shard_events(&self) -> u64 {
+    /// Loads job arrivals `0..n` (see [`SlabEventQueue::load_arrivals`];
+    /// the reference engine schedules them one by one).
+    pub(crate) fn load_arrivals(&mut self, arrivals: impl IntoIterator<Item = SimTime>) {
         match self {
-            EngineQueue::Serial(_) => 0,
-            EngineQueue::Sharded(q) => q.cross_shard_events(),
-            EngineQueue::Parallel(q) => q.cross_shard_events(),
+            EngineQueue::Reference(q) => {
+                for (job, at) in arrivals.into_iter().enumerate() {
+                    q.schedule(at, Event::JobArrival { job });
+                }
+            }
+            EngineQueue::Slab(q) => q.load_arrivals(arrivals),
+        }
+    }
+
+    /// Pops the earliest event, advancing the clock.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
+        match self {
+            EngineQueue::Reference(q) => q.pop(),
+            EngineQueue::Slab(q) => q.pop(),
+        }
+    }
+
+    /// Number of pending events.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            EngineQueue::Reference(q) => q.len(),
+            EngineQueue::Slab(q) => q.len(),
         }
     }
 }
@@ -885,6 +355,7 @@ impl EngineQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fifer_metrics::SimDuration;
 
     fn secs(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -953,38 +424,41 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// A deterministic but irregular schedule workload: preloaded arrivals
-    /// plus dynamic events scheduled while draining (some into the future,
-    /// some at `now`), exercising ties and cross-shard pushes.
-    fn drive<S, P, D>(mut schedule: S, mut preload: P, mut pop: D) -> Vec<(SimTime, Event)>
-    where
-        S: FnMut(SimTime, Event),
-        P: FnMut(SimTime, Event),
-        D: FnMut() -> Option<(SimTime, Event)>,
-    {
-        for j in 0..40usize {
-            preload(
-                SimTime::from_millis(100 * (j as u64 / 4)),
-                Event::JobArrival { job: j },
-            );
-        }
-        schedule(SimTime::from_millis(250), Event::ReactiveTick);
-        schedule(SimTime::from_millis(500), Event::MonitorTick);
+    /// A deterministic but irregular workload: events scheduled before the
+    /// arrivals load, same-instant arrivals, and dynamic events scheduled
+    /// while draining (some into the future, some at `now`), exercising
+    /// every tie between the arrival cursor and the heap.
+    fn drive(q: &mut EngineQueue) -> Vec<(SimTime, Event)> {
+        q.schedule(SimTime::ZERO, Event::ContainerWarm { container: 0 });
+        q.schedule(
+            SimTime::from_millis(100),
+            Event::ContainerWarm { container: 1 },
+        );
+        q.load_arrivals((0..40u64).map(|j| SimTime::from_millis(100 * (j / 4))));
+        q.schedule(SimTime::from_millis(250), Event::ReactiveTick);
+        q.schedule(SimTime::from_millis(500), Event::MonitorTick);
+        q.schedule(SimTime::from_millis(700), Event::NodeDown { node: 1 });
         let mut order = Vec::new();
         let mut spawned = 0u64;
-        while let Some((t, e)) = pop() {
+        while let Some((t, e)) = q.pop() {
             order.push((t, e));
             if let Event::JobArrival { job } = e {
-                // fan out: each arrival schedules work owned by another id
-                schedule(
-                    t + fifer_metrics::SimDuration::from_millis(37 * (job as u64 % 5) + 1),
+                q.schedule(
+                    t + SimDuration::from_millis(37 * (job as u64 % 5) + 1),
                     Event::TaskFinish {
                         container: spawned * 3 + 1,
                     },
                 );
                 spawned += 1;
                 if job % 7 == 0 {
-                    schedule(t, Event::ContainerWarm { container: spawned });
+                    q.schedule(t, Event::ContainerWarm { container: spawned });
+                }
+                if job % 4 == 3 {
+                    // lands exactly on the next arrival batch's instant
+                    q.schedule(
+                        t + SimDuration::from_millis(100),
+                        Event::StageEnqueue { job },
+                    );
                 }
             }
         }
@@ -992,74 +466,69 @@ mod tests {
     }
 
     #[test]
-    fn sharded_commit_order_is_bit_identical_to_serial_at_any_shard_count() {
-        let serial = {
-            let mut q = EventQueue::new();
-            let qs = std::cell::RefCell::new(&mut q);
-            drive(
-                |t, e| qs.borrow_mut().schedule(t, e),
-                |t, e| qs.borrow_mut().schedule(t, e),
-                || qs.borrow_mut().pop(),
-            )
-        };
-        for shards in [1, 2, 3, 7, MAX_SHARDS] {
-            let mut q = ShardedEventQueue::new(shards);
-            let qs = std::cell::RefCell::new(&mut q);
-            let order = drive(
-                |t, e| qs.borrow_mut().schedule(t, e),
-                |t, e| qs.borrow_mut().preload_arrival(t, e),
-                || qs.borrow_mut().pop(),
-            );
-            assert_eq!(order, serial, "{shards} shards must replay serial order");
-        }
+    fn slab_commit_order_is_bit_identical_to_reference() {
+        let reference = drive(&mut EngineQueue::Reference(EventQueue::new()));
+        let slab = drive(&mut EngineQueue::Slab(SlabEventQueue::new()));
+        assert_eq!(reference.len(), 40 + 2 + 3 + 40 + 6 + 10);
+        assert_eq!(slab, reference);
     }
 
     #[test]
-    fn sharded_counts_cross_shard_exchange() {
-        let mut q = ShardedEventQueue::new(4);
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 }); // shard 0
-        assert_eq!(q.cross_shard_events(), 0, "preloads are not exchanges");
-        q.pop();
-        // draining shard 0: same-shard push is free, remote push is counted
-        q.schedule(secs(2), Event::TaskFinish { container: 4 }); // shard 0
-        assert_eq!(q.cross_shard_events(), 0);
-        q.schedule(secs(2), Event::TaskFinish { container: 5 }); // shard 1
-        assert_eq!(q.cross_shard_events(), 1);
-        q.schedule_owned(7, secs(2), Event::ContainerWarm { container: 7 });
-        assert_eq!(q.cross_shard_events(), 2);
-    }
-
-    #[test]
-    fn sharded_len_tracks_all_shards() {
-        let mut q = ShardedEventQueue::new(3);
+    fn slab_len_counts_arrivals_and_heap() {
+        let mut q = SlabEventQueue::new();
         assert!(q.is_empty());
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 });
-        q.preload_arrival(secs(1), Event::JobArrival { job: 1 });
+        q.load_arrivals([secs(1), secs(1)]);
         q.schedule(secs(3), Event::MonitorTick);
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().0, secs(1));
+        assert_eq!(q.pop(), Some((secs(1), Event::JobArrival { job: 0 })));
         assert_eq!(q.len(), 2);
         while q.pop().is_some() {}
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), secs(3));
+    }
+
+    #[test]
+    fn slab_arrivals_tie_by_schedule_order() {
+        // a heap event scheduled before the load commits ahead of a
+        // same-instant arrival; one scheduled after it commits behind
+        let mut q = SlabEventQueue::new();
+        q.schedule(secs(1), Event::ReactiveTick);
+        q.load_arrivals([secs(1)]);
+        q.schedule(secs(1), Event::MonitorTick);
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::ReactiveTick,
+                Event::JobArrival { job: 0 },
+                Event::MonitorTick
+            ]
+        );
     }
 
     #[test]
     #[should_panic(expected = "into the past")]
-    fn sharded_rejects_scheduling_into_the_past() {
-        let mut q = ShardedEventQueue::new(2);
+    fn slab_rejects_scheduling_into_the_past() {
+        let mut q = SlabEventQueue::new();
         q.schedule(secs(5), Event::MonitorTick);
         q.pop();
         q.schedule(secs(1), Event::ReactiveTick);
     }
 
     #[test]
-    #[should_panic(expected = "preload after draining")]
-    fn sharded_rejects_late_preloads() {
-        let mut q = ShardedEventQueue::new(2);
-        q.schedule(secs(1), Event::MonitorTick);
-        q.pop();
-        q.preload_arrival(secs(2), Event::JobArrival { job: 0 });
+    #[should_panic(expected = "before the first pop")]
+    fn slab_rejects_loads_after_draining() {
+        // an empty pop still starts draining
+        let mut q = SlabEventQueue::new();
+        assert!(q.pop().is_none());
+        q.load_arrivals([secs(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of time order")]
+    fn slab_rejects_unsorted_arrivals() {
+        SlabEventQueue::new().load_arrivals([secs(2), secs(1)]);
     }
 
     #[test]
@@ -1073,177 +542,6 @@ mod tests {
             }
             assert_eq!(covered, len, "ranges must cover every index");
             assert!(ranges.len() <= parts.max(1));
-        }
-    }
-
-    #[test]
-    fn resolve_shards_clamps_and_autodetects() {
-        assert!(resolve_shards(0) >= 1);
-        assert!(resolve_shards(0) <= MAX_SHARDS);
-        assert_eq!(resolve_shards(3), 3);
-        assert_eq!(resolve_shards(1_000_000), MAX_SHARDS);
-    }
-
-    #[test]
-    fn resolve_workers_clamps_to_shards() {
-        assert!(resolve_workers(0, 8) >= 1);
-        assert!(resolve_workers(0, 8) <= 8);
-        assert_eq!(resolve_workers(3, 8), 3);
-        assert_eq!(resolve_workers(16, 4), 4);
-        assert_eq!(resolve_workers(1, 0), 1);
-    }
-
-    fn serial_reference() -> Vec<(SimTime, Event)> {
-        let mut q = EventQueue::new();
-        let qs = std::cell::RefCell::new(&mut q);
-        drive(
-            |t, e| qs.borrow_mut().schedule(t, e),
-            |t, e| qs.borrow_mut().schedule(t, e),
-            || qs.borrow_mut().pop(),
-        )
-    }
-
-    #[test]
-    fn parallel_commit_order_is_bit_identical_to_serial_at_any_shape() {
-        let serial = serial_reference();
-        let lookaheads = [
-            SimDuration::ZERO,
-            SimDuration::from_millis(1),
-            SimDuration::from_secs(3_600),
-        ];
-        for shards in [1, 2, 3, 7, MAX_SHARDS] {
-            for workers in [1, 2, 4] {
-                for lookahead in lookaheads {
-                    let mut q = ParallelEventQueue::new(shards, workers, lookahead);
-                    let qs = std::cell::RefCell::new(&mut q);
-                    let order = drive(
-                        |t, e| qs.borrow_mut().schedule(t, e),
-                        |t, e| qs.borrow_mut().preload_arrival(t, e),
-                        || qs.borrow_mut().pop(),
-                    );
-                    assert_eq!(
-                        order, serial,
-                        "{shards} shards × {workers} workers × {lookahead:?} \
-                         lookahead must replay serial order"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_wide_window_routes_in_window_schedules_through_overflow() {
-        // A huge window pulls everything into one epoch, so every dynamic
-        // event scheduled mid-commit lands inside the open window.
-        let mut q = ParallelEventQueue::new(3, 1, SimDuration::from_secs(3_600));
-        let qs = std::cell::RefCell::new(&mut q);
-        drive(
-            |t, e| qs.borrow_mut().schedule(t, e),
-            |t, e| qs.borrow_mut().preload_arrival(t, e),
-            || qs.borrow_mut().pop(),
-        );
-        assert!(
-            q.overflow_events() > 0,
-            "wide window must exercise overflow"
-        );
-        assert!(q.epochs() >= 1);
-    }
-
-    #[test]
-    fn parallel_zero_lookahead_only_overflows_same_instant_events() {
-        // With a zero window, only events scheduled at exactly `now` while
-        // a same-time commit is in flight can land in-window (the drive
-        // harness emits those via ContainerWarm at `now`).
-        let serial = serial_reference();
-        let same_instant = serial
-            .iter()
-            .filter(|(_, e)| matches!(e, Event::ContainerWarm { .. }))
-            .count() as u64;
-        let mut q = ParallelEventQueue::new(4, 2, SimDuration::ZERO);
-        let qs = std::cell::RefCell::new(&mut q);
-        drive(
-            |t, e| qs.borrow_mut().schedule(t, e),
-            |t, e| qs.borrow_mut().preload_arrival(t, e),
-            || qs.borrow_mut().pop(),
-        );
-        assert!(
-            q.overflow_events() <= same_instant,
-            "zero lookahead may only overflow same-instant schedules \
-             ({} > {same_instant})",
-            q.overflow_events(),
-        );
-    }
-
-    #[test]
-    fn parallel_len_and_counters_track_events() {
-        let mut q = ParallelEventQueue::new(3, 2, SimDuration::from_millis(10));
-        assert!(q.is_empty());
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 });
-        q.preload_arrival(secs(1), Event::JobArrival { job: 1 });
-        q.schedule(secs(3), Event::MonitorTick);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().0, secs(1));
-        assert_eq!(q.len(), 2);
-        // draining job 0's shard: remote push is exchange traffic
-        q.schedule(secs(2), Event::TaskFinish { container: 1 }); // shard 1
-        assert_eq!(q.cross_shard_events(), 1);
-        while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-        assert_eq!(q.now(), secs(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn parallel_rejects_scheduling_into_the_past() {
-        let mut q = ParallelEventQueue::new(2, 1, SimDuration::from_millis(1));
-        q.schedule(secs(5), Event::MonitorTick);
-        q.pop();
-        q.schedule(secs(1), Event::ReactiveTick);
-    }
-
-    #[test]
-    #[should_panic(expected = "preload after draining")]
-    fn parallel_rejects_late_preloads() {
-        let mut q = ParallelEventQueue::new(2, 1, SimDuration::from_millis(1));
-        q.schedule(secs(1), Event::MonitorTick);
-        q.pop();
-        q.preload_arrival(secs(2), Event::JobArrival { job: 0 });
-    }
-
-    #[test]
-    #[should_panic(expected = "preload after draining")]
-    fn parallel_rejects_preloads_after_empty_pop() {
-        // a pop that finds the queue empty runs no epoch barrier, but it
-        // still starts draining — the preload contract keys off that, not
-        // off the epoch counter
-        let mut q = ParallelEventQueue::new(2, 1, SimDuration::from_millis(1));
-        assert!(q.pop().is_none());
-        q.preload_arrival(secs(1), Event::JobArrival { job: 0 });
-    }
-
-    #[test]
-    fn parallel_worker_count_zero_means_auto() {
-        let q = ParallelEventQueue::new(4, 0, SimDuration::from_millis(1));
-        assert_eq!(q.workers(), resolve_workers(0, 4));
-        assert!(q.workers() >= 1);
-    }
-
-    #[test]
-    fn engine_queue_dispatches_to_both_variants() {
-        for mut q in [
-            EngineQueue::Serial(EventQueue::new()),
-            EngineQueue::Sharded(ShardedEventQueue::new(2)),
-        ] {
-            q.preload_arrival(secs(1), Event::JobArrival { job: 3 });
-            q.schedule(secs(2), Event::MonitorTick);
-            q.schedule_owned(9, secs(2), Event::TaskFinish { container: 9 });
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.pop(), Some((secs(1), Event::JobArrival { job: 3 })));
-            assert_eq!(q.now(), secs(1));
-            assert!(!q.is_empty());
-            assert!(q.shards() >= 1);
-            let _ = q.cross_shard_events();
         }
     }
 }

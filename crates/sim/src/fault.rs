@@ -154,26 +154,6 @@ impl FaultPlan {
         plan
     }
 
-    /// The smallest scheduling delay any fault in this plan can introduce,
-    /// or `None` when the plan injects nothing. Feeds the parallel
-    /// engine's conservative lookahead derivation: spawn faults land
-    /// exactly `spawn_fail_latency` after the spawn, while a crash can
-    /// land as little as 5% of a (short) sampled exec time after dispatch,
-    /// so an active crash probability pins the bound to the derivation's
-    /// 100µs floor. Purely a throughput hint — engine identity holds for
-    /// any window.
-    pub fn min_event_latency(&self) -> Option<SimDuration> {
-        let mut min: Option<SimDuration> = None;
-        let mut fold = |d: SimDuration| min = Some(min.map_or(d, |m| m.min(d)));
-        if self.spawn_fail_prob > 0.0 {
-            fold(self.spawn_fail_latency);
-        }
-        if self.crash_prob > 0.0 {
-            fold(SimDuration::from_micros(100));
-        }
-        min
-    }
-
     /// `true` when this plan can inject at least one fault.
     pub fn is_active(&self) -> bool {
         self.spawn_fail_prob > 0.0

@@ -10,17 +10,17 @@
 //! totals even after the ring wraps.
 //!
 //! Every recorded event carries a **global sequence number** assigned at
-//! commit time from one monotonic counter. Because the engine commits
-//! events in a single `(time, seq)` total order regardless of shard
-//! count, the sequence numbers — and therefore the JSONL export — are
-//! stable across the serial engine and every sharded configuration: a
-//! merged trace replays in exactly one deterministic order.
+//! commit time from one monotonic counter. Because both event engines
+//! commit events in the same `(time, seq)` total order, the sequence
+//! numbers — and therefore the JSONL export — are identical on the
+//! default and the reference engine.
 //!
 //! Tracing is configured via [`TraceConfig`] on
 //! [`SimConfig`](crate::config::SimConfig) and is zero-cost when disabled:
 //! `SimTrace::record` takes a closure and returns before evaluating it.
-//! With [`TraceConfig::jsonl`] set, the retained events are exported as
-//! JSON Lines at the end of the run.
+//! [`Simulation::run_with_trace`](crate::driver::Simulation::run_with_trace)
+//! returns the trace; [`SimTrace::export_jsonl`] writes the retained
+//! events as JSON Lines.
 
 use crate::fault::FaultKind;
 use fifer_core::policy::DecisionCause;
@@ -36,9 +36,6 @@ pub struct TraceConfig {
     /// (the default): no events are recorded and no counters are kept
     /// beyond plain integer adds.
     pub capacity: usize,
-    /// Optional JSON Lines export path; the retained events are written
-    /// there when the run finishes. Requires a nonzero `capacity`.
-    pub jsonl: Option<String>,
 }
 
 /// One applied (or rejected) decision, with cause attribution.
@@ -428,8 +425,7 @@ impl SimTrace {
     }
 
     /// Retained events with their global commit sequence numbers, oldest
-    /// first. Sequence numbers are stable across engine variants and
-    /// shard counts.
+    /// first. Sequence numbers are identical on both event engines.
     pub fn entries(&self) -> impl Iterator<Item = (u64, &SimEvent)> {
         self.ring.iter().map(|(s, e)| (*s, e))
     }

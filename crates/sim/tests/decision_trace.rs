@@ -146,14 +146,14 @@ fn tracing_does_not_perturb_the_simulation() {
 
 /// JSONL export writes one object per retained event.
 #[test]
-fn jsonl_export_round_trips_through_the_config() {
+fn jsonl_export_round_trips() {
     let path = std::env::temp_dir().join("fifer_decision_trace_test.jsonl");
-    let path_str = path.to_str().expect("utf-8 temp path").to_string();
+    let path_str = path.to_str().expect("utf-8 temp path");
     let s = stream(3.0, 10, 2);
     let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 3.0);
     cfg.trace.capacity = 4096;
-    cfg.trace.jsonl = Some(path_str.clone());
     let (_, trace) = Simulation::new(cfg, &s).run_with_trace();
+    trace.export_jsonl(path_str).expect("export must succeed");
     let contents = std::fs::read_to_string(&path).expect("export must exist");
     std::fs::remove_file(&path).ok();
     assert_eq!(contents.lines().count(), trace.len());

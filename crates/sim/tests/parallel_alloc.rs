@@ -1,8 +1,7 @@
-//! Steady-state allocation test for the parallel epoch engine: after one
-//! warm-up round grows the reused buffers (per-shard drain runs, the
-//! commit slab, the overflow and exchange heaps) to their high-water
-//! capacity, further epochs — window selection, parallel drain, merge,
-//! sort, commit, mid-commit scheduling — must not touch the heap at all.
+//! Steady-state allocation test for the event engine: once the arrival
+//! slab is loaded and one warm-up round has grown the event heap to its
+//! high-water capacity, further rounds — arrival-cursor pops, heap pops,
+//! same-instant and future schedules — must not touch the heap at all.
 //! A counting global allocator makes any regression an exact,
 //! reproducible failure.
 //!
@@ -11,7 +10,7 @@
 //! delta nondeterministic.
 
 use fifer_metrics::{SimDuration, SimTime};
-use fifer_sim::engine::{Event, ParallelEventQueue};
+use fifer_sim::engine::{Event, SlabEventQueue};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,72 +44,51 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-/// One identically-shaped round: schedules `events` future arrivals in a
-/// burst starting at `base`, then drains them, fanning each out into one
-/// in-window follow-up (the overflow path) and one beyond-window
-/// follow-up (the exchange heaps). Every round touches the same buffers
-/// to the same high-water marks, so round 1 pays all capacity growth.
-fn round(q: &mut ParallelEventQueue, base: SimTime, events: u64) -> SimTime {
-    for j in 0..events {
-        q.schedule(
-            base + SimDuration::from_micros(j % 97),
-            Event::JobArrival { job: j as usize },
-        );
-    }
-    let mut last = base;
-    while let Some((t, e)) = q.pop() {
-        last = t;
+/// Arrivals per round.
+const EVENTS: u64 = 4_096;
+const ROUNDS: u64 = 5;
+
+/// Arrival time of job `j`: round `j / EVENTS` starts at `j / EVENTS`
+/// seconds, four same-instant arrivals per microsecond.
+fn arrival(j: u64) -> SimTime {
+    SimTime::from_micros((j / EVENTS) * 1_000_000 + (j % EVENTS) / 4)
+}
+
+/// One identically-shaped round: commits the round's `EVENTS` arrivals,
+/// fanning each out into one same-instant follow-up and one 50 ms later,
+/// and commits those too — `2 * EVENTS` pops, all inside the round's
+/// second. Every round grows the heap to the same high-water mark, so
+/// round 1 pays all capacity growth.
+fn round(q: &mut SlabEventQueue) {
+    for _ in 0..2 * EVENTS {
+        let (t, e) = q.pop().expect("round ran dry");
         if let Event::JobArrival { job } = e {
+            let container = job as u64;
             if job % 2 == 0 {
-                // inside the window: commits via the overflow heap
-                q.schedule(
-                    t,
-                    Event::ContainerWarm {
-                        container: job as u64,
-                    },
-                );
+                q.schedule(t, Event::ContainerWarm { container });
             } else {
-                // beyond the window: parks in an owner-shard heap until a
-                // later epoch of this same round
                 q.schedule(
                     t + SimDuration::from_millis(50),
-                    Event::TaskFinish {
-                        container: job as u64,
-                    },
+                    Event::TaskFinish { container },
                 );
             }
         }
     }
-    last + SimDuration::from_secs(1)
 }
 
 #[test]
-fn steady_state_epochs_do_not_allocate() {
-    // --- inline drain path: one worker, epochs below the pool threshold ---
-    let mut q = ParallelEventQueue::new(3, 1, SimDuration::from_millis(1));
-    let mut base = round(&mut q, SimTime::ZERO, 256); // warm-up
+fn steady_state_rounds_do_not_allocate() {
+    let mut q = SlabEventQueue::new();
+    q.load_arrivals((0..EVENTS * ROUNDS).map(arrival));
+    round(&mut q); // warm-up
     let before = allocations();
-    for _ in 0..4 {
-        base = round(&mut q, base, 256);
+    for _ in 1..ROUNDS {
+        round(&mut q);
     }
     let delta = allocations() - before;
     assert_eq!(
         delta, 0,
-        "steady-state inline epochs must be allocation-free, saw {delta}"
+        "steady-state engine rounds must be allocation-free, saw {delta}"
     );
-    assert!(q.epochs() > 0 && q.overflow_events() > 0);
-
-    // --- pooled drain path: two workers, epochs past the pool threshold ---
-    let mut q = ParallelEventQueue::new(4, 2, SimDuration::from_secs(3_600));
-    let mut base = round(&mut q, SimTime::ZERO, 4_096); // warm-up
-    let before = allocations();
-    for _ in 0..3 {
-        base = round(&mut q, base, 4_096);
-    }
-    let delta = allocations() - before;
-    assert_eq!(
-        delta, 0,
-        "steady-state pooled epochs must be allocation-free, saw {delta}"
-    );
-    let _ = base;
+    assert!(q.is_empty(), "every round must drain exactly");
 }

@@ -1,19 +1,19 @@
-//! Differential tests for the three event engines: the parallel epoch
-//! engine (`use_serial_engine = false`, the default) and the head-merging
-//! sharded engine (`use_merge_engine = true`) must replay the reference
-//! serial engine exactly — byte-identical headline JSON, decision-trace
-//! JSONL (including the global sequence numbers) and audit outcomes — at
-//! every shard count, every worker count and every lookahead window, for
-//! every resource manager, with and without injected faults. The engines
-//! commit events in one global `(time, seq)` total order regardless of
-//! how the pending set is partitioned or drained, so equality here is
-//! byte equality on the serialized artifacts, not a tolerance.
+//! Differential tests for the event engine: the default arrival-slab
+//! engine (`use_serial_engine = false`) must replay the reference one-heap
+//! engine exactly — byte-identical headline JSON, decision-trace JSONL
+//! (including the global sequence numbers) and audit outcomes — for every
+//! resource manager, with and without injected faults. Both engines
+//! commit events in one global `(time, seq)` total order, so equality
+//! here is byte equality on the serialized artifacts, not a tolerance.
+//!
+//! (The file keeps its historical name: it once compared sharded engines
+//! against the serial one, and the benchmark docs cite its 50k-core
+//! twin.)
 
 use fifer_core::rm::RmKind;
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::config::{ClusterConfig, SimConfig};
 use fifer_sim::driver::{window_max_series, Simulation};
-use fifer_sim::engine::MAX_SHARDS;
 use fifer_sim::fault::FaultPlan;
 use fifer_workloads::{AzureWorkloadConfig, JobStream, PoissonTrace, WitsLikeTrace, WorkloadMix};
 
@@ -43,39 +43,42 @@ fn artifacts(mut cfg: SimConfig, s: &JobStream) -> (String, String) {
     (r.to_json(), trace.to_jsonl())
 }
 
-/// Every RM, serial engine vs sharded at 1, 3 and MAX_SHARDS shards: the
-/// headline JSON and the decision-trace JSONL must be byte-identical.
+/// Runs `cfg` on the reference engine and on the default engine and
+/// returns both runs' artifacts.
+fn both_engines(cfg: &SimConfig, s: &JobStream) -> [(String, String); 2] {
+    [true, false].map(|serial| {
+        let mut cfg = cfg.clone();
+        cfg.use_serial_engine = serial;
+        artifacts(cfg, s)
+    })
+}
+
+/// Every RM, reference engine vs default: the headline JSON and the
+/// decision-trace JSONL must be byte-identical.
 #[test]
-fn every_rm_is_bit_identical_across_engines_and_shard_counts() {
+fn every_rm_is_bit_identical_across_engines() {
     let s = stream(5.0, 45, 17);
     for kind in RmKind::ALL {
-        let mut serial_cfg = SimConfig::prototype(kind.config(), 5.0);
-        serial_cfg.use_serial_engine = true;
-        let (json, jsonl) = artifacts(serial_cfg, &s);
+        let cfg = SimConfig::prototype(kind.config(), 5.0);
+        let [(json, jsonl), (slab_json, slab_jsonl)] = both_engines(&cfg, &s);
         assert!(!jsonl.is_empty(), "{kind}: trace must not be empty");
-        for shards in [1, 3, MAX_SHARDS] {
-            let mut cfg = SimConfig::prototype(kind.config(), 5.0);
-            cfg.shards = shards;
-            let (sh_json, sh_jsonl) = artifacts(cfg, &s);
-            assert_eq!(
-                json, sh_json,
-                "{kind} @ {shards} shards: headline JSON diverged from serial"
-            );
-            assert_eq!(
-                jsonl, sh_jsonl,
-                "{kind} @ {shards} shards: decision-trace JSONL diverged from serial"
-            );
-        }
+        assert_eq!(
+            json, slab_json,
+            "{kind}: headline JSON diverged from the reference"
+        );
+        assert_eq!(
+            jsonl, slab_jsonl,
+            "{kind}: decision-trace JSONL diverged from the reference"
+        );
     }
 }
 
-/// The Azure family under the hybrid-histogram policy, the pairing this
-/// PR ships: the generated trace must be byte-identical across repeated
-/// generations with one seed, and the full observable surface (headline
-/// JSON + seq-numbered decision-trace JSONL, with the short 10 s idle
-/// scan so keep-alive decisions actually fire) must be byte-identical
-/// between the serial engine and the sharded engine at 1, 3 and
-/// MAX_SHARDS shards.
+/// The Azure family under the hybrid-histogram policy: the generated
+/// trace must be byte-identical across repeated generations with one
+/// seed, and the full observable surface (headline JSON + seq-numbered
+/// decision-trace JSONL, with the short 10 s idle scan so keep-alive
+/// decisions actually fire) must be byte-identical between the reference
+/// and the default engine.
 #[test]
 fn hybridhist_on_azure_is_bit_identical_across_engines() {
     let azure = AzureWorkloadConfig::paper_default();
@@ -87,108 +90,32 @@ fn hybridhist_on_azure_is_bit_identical_across_engines() {
         "azure generation must be deterministic in the seed"
     );
 
-    let mk = |serial: bool, shards: usize| {
-        let mut cfg = SimConfig::prototype(RmKind::HybridHist.config(), azure.total_rate);
-        cfg.idle_timeout = SimDuration::from_secs(10);
-        cfg.use_serial_engine = serial;
-        cfg.shards = shards;
-        cfg
-    };
-    let (json, jsonl) = artifacts(mk(true, 0), &s);
+    let mut cfg = SimConfig::prototype(RmKind::HybridHist.config(), azure.total_rate);
+    cfg.idle_timeout = SimDuration::from_secs(10);
+    let [(json, jsonl), (slab_json, slab_jsonl)] = both_engines(&cfg, &s);
     assert!(!jsonl.is_empty(), "hybridhist trace must not be empty");
-    for shards in [1, 3, MAX_SHARDS] {
-        let (sh_json, sh_jsonl) = artifacts(mk(false, shards), &s);
-        assert_eq!(
-            json, sh_json,
-            "hybridhist/azure @ {shards} shards: headline JSON diverged from serial"
-        );
-        assert_eq!(
-            jsonl, sh_jsonl,
-            "hybridhist/azure @ {shards} shards: decision-trace JSONL diverged from serial"
-        );
-    }
-}
-
-/// The parallel epoch engine across worker counts {1, 2, MAX} × shard
-/// counts {1, 3, MAX}, under a sampled fault plan with harvesting and
-/// right-sizing active (the Harvest RM): every combination must replay
-/// the serial engine byte-for-byte. Worker count is pinned explicitly so
-/// multi-worker epochs run even on a single-core host.
-#[test]
-fn parallel_workers_are_bit_identical_under_faults_and_harvesting() {
-    let s = stream(6.0, 40, 23);
-    let mut base = SimConfig::prototype(RmKind::Harvest.config(), 6.0);
-    base.faults = FaultPlan::sampled(3, 5, 40);
-    let serial = {
-        let mut cfg = base.clone();
-        cfg.use_serial_engine = true;
-        artifacts(cfg, &s)
-    };
-    for shards in [1, 3, MAX_SHARDS] {
-        // MAX workers == one per shard (resolve_workers clamps to shards)
-        for workers in [1, 2, shards] {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            cfg.workers = workers;
-            let got = artifacts(cfg, &s);
-            assert_eq!(
-                serial, got,
-                "parallel @ {shards} shards x {workers} workers diverged from serial"
-            );
-        }
-    }
-}
-
-/// Explicit lookahead overrides — a zero window, a window wider than the
-/// whole run, and the auto-derived one — all replay serial exactly: the
-/// window is a throughput knob, never a correctness knob.
-#[test]
-fn parallel_lookahead_is_a_pure_throughput_knob() {
-    let s = stream(6.0, 40, 31);
-    let serial = {
-        let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 6.0);
-        cfg.use_serial_engine = true;
-        artifacts(cfg, &s)
-    };
-    for lookahead in [
-        Some(SimDuration::ZERO),
-        Some(SimDuration::from_secs(3_600)),
-        None,
-    ] {
-        let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 6.0);
-        cfg.shards = 3;
-        cfg.workers = 2;
-        cfg.lookahead = lookahead;
-        assert_eq!(
-            serial,
-            artifacts(cfg, &s),
-            "lookahead {lookahead:?} diverged from serial"
-        );
-    }
-}
-
-/// The head-merging sharded engine stays available behind
-/// `use_merge_engine` as a second reference, still byte-identical.
-#[test]
-fn merge_engine_remains_a_bit_identical_reference() {
-    let s = stream(5.0, 40, 37);
-    let run = |serial: bool, merge: bool| {
-        let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 5.0);
-        cfg.use_serial_engine = serial;
-        cfg.use_merge_engine = merge;
-        cfg.shards = 3;
-        artifacts(cfg, &s)
-    };
-    let serial = run(true, false);
     assert_eq!(
-        serial,
-        run(false, true),
-        "merge engine diverged from serial"
+        json, slab_json,
+        "hybridhist/azure: headline JSON diverged from the reference"
     );
     assert_eq!(
-        serial,
-        run(false, false),
-        "parallel engine diverged from serial"
+        jsonl, slab_jsonl,
+        "hybridhist/azure: decision-trace JSONL diverged from the reference"
+    );
+}
+
+/// A sampled fault plan with harvesting and right-sizing active (the
+/// Harvest RM): the default engine must replay the reference
+/// byte-for-byte.
+#[test]
+fn harvesting_under_faults_is_bit_identical_across_engines() {
+    let s = stream(6.0, 40, 23);
+    let mut cfg = SimConfig::prototype(RmKind::Harvest.config(), 6.0);
+    cfg.faults = FaultPlan::sampled(3, 5, 40);
+    let [reference, slab] = both_engines(&cfg, &s);
+    assert_eq!(
+        reference, slab,
+        "harvest under faults diverged from the reference"
     );
 }
 
@@ -205,54 +132,44 @@ fn outage_plan() -> FaultPlan {
 }
 
 /// Shared body for the faulted differential tests: every plan, for Bline
-/// and Fifer, must replay the serial engine byte-for-byte at each of the
-/// given shard counts.
-fn assert_faulted_plans_identical(plans: &[FaultPlan], shard_counts: &[usize]) {
+/// and Fifer, must replay the reference engine byte-for-byte.
+fn assert_faulted_plans_identical(plans: &[FaultPlan]) {
     let s = stream(6.0, 40, 29);
     for (i, plan) in plans.iter().enumerate() {
         for kind in [RmKind::Bline, RmKind::Fifer] {
-            let run = |serial: bool, shards: usize| {
-                let mut cfg = SimConfig::prototype(kind.config(), 6.0);
-                cfg.use_serial_engine = serial;
-                cfg.shards = shards;
-                cfg.faults = plan.clone();
-                artifacts(cfg, &s)
-            };
-            let serial = run(true, 0);
-            for &shards in shard_counts {
-                assert_eq!(
-                    serial,
-                    run(false, shards),
-                    "{kind} plan {i}: sharded({shards}) diverged from serial"
-                );
-            }
+            let mut cfg = SimConfig::prototype(kind.config(), 6.0);
+            cfg.faults = plan.clone();
+            let [reference, slab] = both_engines(&cfg, &s);
+            assert_eq!(
+                reference, slab,
+                "{kind} plan {i}: default engine diverged from the reference"
+            );
         }
     }
 }
 
 /// Fast lane: one sampled fault plan (spawn faults, crashes, stragglers,
-/// outages) plus the hand-written outage window, checked at the
-/// multi-shard count where cross-shard ordering can actually diverge.
-/// The full plan matrix lives in the `#[ignore]` twin below.
+/// outages) plus the hand-written outage window. The full plan matrix
+/// lives in the `#[ignore]` twin below.
 #[test]
 fn faulted_runs_are_bit_identical_across_engines() {
     let plans = [FaultPlan::sampled(0, 5, 40), outage_plan()];
-    assert_faulted_plans_identical(&plans, &[3]);
+    assert_faulted_plans_identical(&plans);
 }
 
 /// Full-scale twin (slow lane, `--ignored`): every sampled fault plan and
-/// the hand-written outage window, across all tested shard counts.
+/// the hand-written outage window.
 #[test]
-#[ignore = "full plan matrix: 5 plans x 2 RMs x 3 engine shapes; run with --ignored"]
+#[ignore = "full plan matrix: 5 plans x 2 RMs x 2 engines; run with --ignored"]
 fn faulted_runs_full_plan_matrix_is_bit_identical() {
     let mut plans: Vec<FaultPlan> = (0..4).map(|i| FaultPlan::sampled(i, 5, 40)).collect();
     plans.push(outage_plan());
-    assert_faulted_plans_identical(&plans, &[1, 3]);
+    assert_faulted_plans_identical(&plans);
 }
 
 /// With the invariant auditor on: both engines stay clean, audit the same
 /// number of commit points, and still produce identical artifacts — the
-/// sharded engine deep-scans at epoch barriers instead of every 64th
+/// default engine deep-scans at monitor ticks instead of every 64th
 /// event, which must not change any outcome on a clean run.
 #[test]
 fn audited_runs_agree_and_stay_clean_on_both_engines() {
@@ -265,53 +182,44 @@ fn audited_runs_agree_and_stay_clean_on_both_engines() {
         cfg.faults = FaultPlan::sampled(7, 5, 45);
         Simulation::new(cfg, &s).run()
     };
-    let sharded = run(false);
+    let slab = run(false);
     let serial = run(true);
     assert!(
         serial.audit_violations.is_empty(),
-        "serial: {:?}",
+        "reference: {:?}",
         serial.audit_violations
     );
     assert!(
-        sharded.audit_violations.is_empty(),
-        "sharded: {:?}",
-        sharded.audit_violations
+        slab.audit_violations.is_empty(),
+        "default: {:?}",
+        slab.audit_violations
     );
-    assert_eq!(serial.audit_checks, sharded.audit_checks);
-    assert_eq!(serial.to_json(), sharded.to_json());
+    assert_eq!(serial.audit_checks, slab.audit_checks);
+    assert_eq!(serial.to_json(), slab.to_json());
 }
 
-/// The sharded engine reports its shape through the (unserialized) result
-/// fields: the shard count it resolved and how many events crossed shard
-/// boundaries; the serial engine reports one shard and zero crossings.
+/// The engine leaves no trace in the serialized artifact: both engines
+/// process the same number of events, and the result JSON names no
+/// engine.
 #[test]
-fn engine_shape_is_observable_but_never_serialized() {
+fn engine_choice_is_never_serialized() {
     let s = stream(5.0, 30, 3);
-    let run = |serial: bool, shards: usize| {
+    let run = |serial: bool| {
         let mut cfg = SimConfig::prototype(RmKind::Bline.config(), 5.0);
         cfg.use_serial_engine = serial;
-        cfg.shards = shards;
         Simulation::new(cfg, &s).run()
     };
-    let serial = run(true, 0);
-    assert_eq!(serial.engine_shards, 1);
-    assert_eq!(serial.cross_shard_events, 0);
-    let sharded = run(false, 4);
-    assert_eq!(sharded.engine_shards, 4);
-    assert!(
-        sharded.cross_shard_events > 0,
-        "a multi-stage workload must exchange events across shards"
-    );
-    // the shape fields are diagnostics, not results: the serialized
-    // artifact stays byte-identical across engine shapes
-    assert_eq!(serial.to_json(), sharded.to_json());
-    assert!(!serial.to_json().contains("engine_shards"));
-    assert!(!serial.to_json().contains("cross_shard_events"));
+    let serial = run(true);
+    let slab = run(false);
+    assert!(serial.events_processed > 0);
+    assert_eq!(serial.events_processed, slab.events_processed);
+    assert_eq!(serial.to_json(), slab.to_json());
+    assert!(!serial.to_json().contains("engine"));
 }
 
 /// Full-scale twin (slow lane, `--ignored`): a 50k-core cluster under a
-/// 10× WITS burst. The sharded engine must (a) replay the serial engine
-/// byte-for-byte and (b) finish the sharded run in single-digit seconds.
+/// 10× WITS burst. The default engine must (a) replay the reference engine
+/// byte-for-byte and (b) finish its run in single-digit seconds.
 #[test]
 #[ignore = "full-scale: ~50k cores, 10x WITS burst; run with --ignored"]
 fn burst_50k_cores_is_identical_and_single_digit_seconds() {
@@ -334,9 +242,6 @@ fn burst_50k_cores_is_identical_and_single_digit_seconds() {
             mem_per_node_gb: 192.0,
         };
         cfg.use_serial_engine = serial;
-        // pin two epoch workers so the slow lane exercises multi-worker
-        // parallel commit even on a single-core host
-        cfg.workers = 2;
         // no warmup: records then cover every job, so the completion
         // accounting below is exact
         cfg.warmup = SimDuration::ZERO;
@@ -346,18 +251,17 @@ fn burst_50k_cores_is_identical_and_single_digit_seconds() {
         cfg
     };
     let t0 = std::time::Instant::now();
-    let sharded = Simulation::new(mk(false), &s).run();
+    let slab = Simulation::new(mk(false), &s).run();
     let elapsed = t0.elapsed();
     println!(
-        "50k-core burst: {} jobs, {} events in {:.2}s ({:.0} events/s, {} shards)",
+        "50k-core burst: {} jobs, {} events in {:.2}s ({:.0} events/s)",
         s.len(),
-        sharded.events_processed,
+        slab.events_processed,
         elapsed.as_secs_f64(),
-        sharded.events_processed as f64 / elapsed.as_secs_f64(),
-        sharded.engine_shards,
+        slab.events_processed as f64 / elapsed.as_secs_f64(),
     );
     assert_eq!(
-        sharded.records.len() as u64 + sharded.jobs_dropped,
+        slab.records.len() as u64 + slab.jobs_dropped,
         s.len() as u64
     );
     assert!(
@@ -367,7 +271,7 @@ fn burst_50k_cores_is_identical_and_single_digit_seconds() {
     let serial = Simulation::new(mk(true), &s).run();
     assert_eq!(
         serial.to_json(),
-        sharded.to_json(),
-        "full-scale sharded run diverged from serial"
+        slab.to_json(),
+        "full-scale default-engine run diverged from the reference"
     );
 }

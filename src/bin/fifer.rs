@@ -39,9 +39,6 @@ struct Args {
     decision_trace: Option<String>,
     faults: FaultPlan,
     audit: bool,
-    shards: usize,
-    workers: usize,
-    lookahead: Option<SimDuration>,
     serial_engine: bool,
     harvest: bool,
     rightsize: bool,
@@ -88,16 +85,22 @@ fn usage() -> ! {
          --online-retrain                          keep fine-tuning the neural predictor on the\n\
                                                    observed rate tail during the run (paper §8)\n\
          --audit                                   run the invariant auditor at every event commit\n\
-         --shards <n>                              event-engine shards (default 0 = one per core);\n\
-                                                   results are bit-identical at every shard count\n\
-         --workers <n>                             epoch workers for the parallel engine (default\n\
-                                                   0 = min(cores, shards)); never affects results\n\
-         --lookahead <ms>                          conservative lookahead window in milliseconds\n\
-                                                   (default: derived from the minimum cross-shard\n\
-                                                   latency); any value preserves bit-identity\n\
-         --serial-engine                           use the reference serial event engine"
+         --serial-engine                           use the reference one-heap event engine\n\
+                                                   (bit-identical results, slower)"
     );
     exit(2)
+}
+
+const INTEGER: &str = "a non-negative integer";
+const REAL: &str = "a number";
+
+/// Parses `raw`, the value given to numeric flag `flag`, or exits 2
+/// naming the flag, what it `expects` and the value it got.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str, expects: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("error: {flag} expects {expects}, got {raw:?}");
+        usage()
+    })
 }
 
 fn parse_args() -> Args {
@@ -123,9 +126,6 @@ fn parse_args() -> Args {
         decision_trace: None,
         faults: FaultPlan::none(),
         audit: false,
-        shards: 0,
-        workers: 0,
-        lookahead: None,
         serial_engine: false,
         harvest: false,
         rightsize: false,
@@ -136,7 +136,10 @@ fn parse_args() -> Args {
     let mut i = 0;
     let value = |i: &mut usize| -> String {
         *i += 1;
-        argv.get(*i).cloned().unwrap_or_else(|| usage())
+        argv.get(*i).cloned().unwrap_or_else(|| {
+            eprintln!("error: {} needs a value", argv[*i - 1]);
+            usage()
+        })
     };
     while i < argv.len() {
         match argv[i].as_str() {
@@ -164,8 +167,8 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--apps" => args.apps = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--tail-exp" => args.tail_exp = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--apps" => args.apps = number("--apps", &value(&mut i), INTEGER),
+            "--tail-exp" => args.tail_exp = number("--tail-exp", &value(&mut i), REAL),
             "--trigger-mix" => {
                 args.trigger_mix = TriggerMix::parse(&value(&mut i)).unwrap_or_else(|e| {
                     eprintln!("error: {e}");
@@ -183,13 +186,13 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--secs" => args.secs = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--rate" => args.rate = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => args.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--warmup" => args.warmup = Some(value(&mut i).parse().unwrap_or_else(|_| usage())),
+            "--secs" => args.secs = number("--secs", &value(&mut i), INTEGER),
+            "--rate" => args.rate = number("--rate", &value(&mut i), REAL),
+            "--seed" => args.seed = number("--seed", &value(&mut i), INTEGER),
+            "--warmup" => args.warmup = Some(number("--warmup", &value(&mut i), INTEGER)),
             "--large" => args.large = true,
-            "--tenants" => args.tenants = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--early-exit" => args.early_exit = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--tenants" => args.tenants = number("--tenants", &value(&mut i), INTEGER),
+            "--early-exit" => args.early_exit = number("--early-exit", &value(&mut i), REAL),
             "--replay" => args.replay = Some(value(&mut i)),
             "--save-workload" => args.save_workload = Some(value(&mut i)),
             "--out" => args.out = Some(value(&mut i)),
@@ -206,12 +209,6 @@ fn parse_args() -> Args {
             "--rightsize" => args.rightsize = true,
             "--model-cache" => args.model_cache = Some(value(&mut i)),
             "--online-retrain" => args.online_retrain = true,
-            "--shards" => args.shards = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--workers" => args.workers = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--lookahead" => {
-                let ms: f64 = value(&mut i).parse().unwrap_or_else(|_| usage());
-                args.lookahead = Some(SimDuration::from_millis_f64(ms));
-            }
             "--serial-engine" => args.serial_engine = true,
             "--help" | "-h" => usage(),
             other => {
@@ -358,9 +355,6 @@ fn main() {
         cfg.tenants = args.tenants.max(1);
         cfg.faults = args.faults.clone();
         cfg.audit = args.audit;
-        cfg.shards = args.shards;
-        cfg.workers = args.workers;
-        cfg.lookahead = args.lookahead;
         cfg.use_serial_engine = args.serial_engine;
         if args.harvest || args.rightsize {
             // bolt harvesting / right-sizing onto any RM: paper-default

@@ -341,6 +341,37 @@ fn assert_rejected(args: &[&str], needle: &str) {
 }
 
 #[test]
+fn unparseable_numeric_values_are_named_errors() {
+    for (flag, value, expects) in [
+        ("--apps", "many", "a non-negative integer"),
+        ("--tail-exp", "steep", "a number"),
+        ("--secs", "abc", "a non-negative integer"),
+        ("--rate", "x", "a number"),
+        ("--seed", "-1", "a non-negative integer"),
+        ("--warmup", "1.5", "a non-negative integer"),
+        ("--tenants", "two", "a non-negative integer"),
+        ("--early-exit", "half", "a number"),
+    ] {
+        assert_rejected(
+            &[flag, value],
+            &format!("error: {flag} expects {expects}, got \"{value}\""),
+        );
+    }
+}
+
+#[test]
+fn numeric_flag_without_a_value_is_a_named_error() {
+    assert_rejected(&["--secs"], "error: --secs needs a value");
+}
+
+#[test]
+fn removed_engine_flags_are_unknown_arguments() {
+    for flag in ["--shards", "--workers", "--lookahead"] {
+        assert_rejected(&[flag, "2"], &format!("error: unknown argument \"{flag}\""));
+    }
+}
+
+#[test]
 fn zero_rate_is_a_named_error() {
     assert_rejected(&["--rate", "0"], "--rate must be a positive request rate");
 }
