@@ -66,6 +66,8 @@ use fifer_metrics::SimDuration;
 use fifer_predict::train::{train_test_split, TrainConfig};
 use fifer_predict::{accuracy, LoadPredictor, LstmPredictor, ModelCache, PredictorKind};
 use fifer_sim::driver::Simulation;
+use fifer_sim::results::Fnv1aWriter;
+use fifer_sim::SimResult;
 use fifer_workloads::{AzureWorkloadConfig, WorkloadMix};
 use std::hint::black_box;
 use std::time::Instant;
@@ -498,16 +500,13 @@ fn main() {
     }
 }
 
-/// FNV-1a over the headline JSON: a cheap, stable digest for the
+/// FNV-1a over the streamed result JSON: a cheap, stable digest for the
 /// "identical to serial" check (full byte equality is what the
 /// differential test suites assert; the bench only needs a fingerprint).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+fn json_digest(r: &SimResult) -> u64 {
+    let mut h = Fnv1aWriter::new();
+    r.write_json(&mut h).expect("digesting cannot fail");
+    h.digest()
 }
 
 /// Replays `spec` `reps` times on each engine, alternating reference and
@@ -528,7 +527,7 @@ fn engine_bench(spec: &RunSpec, reps: usize) -> EngineSection {
         (
             t0.elapsed().as_secs_f64(),
             r.events_processed,
-            fnv1a(r.to_json().as_bytes()),
+            json_digest(&r),
         )
     };
     let mut runs: [Vec<(f64, u64, u64)>; 2] = [Vec::new(), Vec::new()];

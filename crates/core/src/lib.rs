@@ -21,9 +21,8 @@
 //!   [`policy::ClusterView`]/[`policy::StageView`] snapshots they consume,
 //!   and the typed [`policy::Decision`]s they emit,
 //! * [`features`] — the Table 6 feature matrix versus related work,
-//! * [`pool`] — a std-only work-stealing thread pool shared by the
-//!   experiment runner (whole-simulation sweeps) and the simulator's
-//!   sharded event engine (intra-run phase work).
+//! * [`pool`] — a std-only work-stealing thread pool for the experiment
+//!   harness's whole-simulation sweeps.
 //!
 //! The event-driven cluster substrate that executes these policies lives in
 //! the `fifer-sim` crate; keeping the policies pure makes every decision

@@ -1,9 +1,8 @@
 //! Minimal std-only work-stealing thread pool.
 //!
-//! Used by the experiment runner for whole-simulation sweeps and by the
-//! simulator for intra-run phase scans over large container tables (idle
-//! scans, audit deep scans). Tasks are coarse and embarrassingly parallel, but their
-//! durations are wildly uneven — a Fifer large-scale run takes an order of
+//! Used by the experiment harness for whole-simulation sweeps (the
+//! simulator itself is single-threaded). Tasks are coarse and
+//! embarrassingly parallel, but their durations are wildly uneven — a Fifer large-scale run takes an order of
 //! magnitude longer than a Bline prototype run. A fixed round-robin split
 //! therefore leaves workers idle at the tail. Here each worker owns a
 //! deque seeded round-robin; it pops its own work from the front and, when

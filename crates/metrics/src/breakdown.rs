@@ -48,8 +48,9 @@ impl LatencyBreakdown {
 pub struct RequestRecord {
     /// Monotonically increasing job id.
     pub job_id: u64,
-    /// Application (chain) name this job invoked.
-    pub app: String,
+    /// Application (chain) name this job invoked. Static (the simulator
+    /// passes `Application::name`), so a record costs no heap allocation.
+    pub app: &'static str,
     /// Submission instant.
     pub submitted: SimTime,
     /// Completion instant.
@@ -152,7 +153,7 @@ mod tests {
         };
         RequestRecord {
             job_id: 1,
-            app: "IPA".to_string(),
+            app: "IPA",
             submitted: SimTime::from_secs(1),
             completed: SimTime::from_secs(1) + breakdown.total(),
             breakdown,

@@ -46,21 +46,24 @@ impl SloAccountant {
     }
 
     /// Observes one completed request; returns whether it violated the SLO.
+    /// Allocates only on an application's first observation.
     pub fn observe(&mut self, app: &str, latency: SimDuration) -> bool {
         let violated = latency > self.slo;
+        let hit = u64::from(violated);
         self.total += 1;
-        let e = self.per_app.entry(app.to_string()).or_insert((0, 0));
-        e.0 += 1;
-        if violated {
-            self.violations += 1;
-            e.1 += 1;
+        self.violations += hit;
+        match self.per_app.get_mut(app) {
+            Some(e) => *e = (e.0 + 1, e.1 + hit),
+            None => {
+                self.per_app.insert(app.to_string(), (1, hit));
+            }
         }
         violated
     }
 
     /// Observes a full [`RequestRecord`].
     pub fn observe_record(&mut self, r: &RequestRecord) -> bool {
-        self.observe(&r.app, r.response_latency())
+        self.observe(r.app, r.response_latency())
     }
 
     /// Total requests observed.
@@ -139,7 +142,7 @@ mod tests {
         let mut acc = SloAccountant::new(ms(100));
         let r = RequestRecord {
             job_id: 0,
-            app: "FaceSecurity".into(),
+            app: "FaceSecurity",
             submitted: SimTime::ZERO,
             completed: SimTime::from_millis(150),
             breakdown: LatencyBreakdown::new(),

@@ -33,15 +33,12 @@
 //! commits, which keeps `--audit` usable at the 50k-core scale (a
 //! per-64-event full scan over a 100k-container table would dominate the
 //! run). Both cadences deep-scan once more after the queue drains, and a
-//! clean run reports zero violations under either. Large deep scans are
-//! partitioned into contiguous container/stage ranges checked in
-//! parallel and merged in index order, so the worker count never changes
-//! the violation list.
+//! clean run reports zero violations under either.
 
 use crate::cluster::Node;
 use crate::container::{Container, ContainerState};
 use crate::driver::Simulation;
-use crate::engine::{partition_ranges, EngineQueue, Event};
+use crate::engine::{EngineQueue, Event};
 use crate::stage::{selection_rank, StageRuntime};
 use fifer_core::resources::ResourceVec;
 use fifer_core::scheduling::ContainerSelection;
@@ -210,31 +207,8 @@ impl Simulation<'_> {
 
     /// Full scan over the container table: per-node and per-stage resource
     /// accounting, dispatch safety, and request conservation.
-    ///
-    /// Large tables are scanned as contiguous id ranges checked in
-    /// parallel; partial tallies and messages merge in range order, so the
-    /// output is identical to a serial scan regardless of worker count.
     fn check_deep(&self, out: &mut Vec<String>) {
         let nodes = self.cluster.nodes();
-        let par = self.par_workers > 1 && self.containers.len() >= crate::accounting::PAR_SCAN_MIN;
-
-        let scan = if par {
-            let containers = &self.containers;
-            let num_nodes = nodes.len();
-            let ranges = partition_ranges(containers.len(), self.par_workers);
-            let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                scan_containers(&containers[r], num_nodes)
-            });
-            parts
-                .into_iter()
-                .reduce(|mut acc, p| {
-                    acc.merge(p);
-                    acc
-                })
-                .unwrap_or_else(|| ContainerScan::new(num_nodes))
-        } else {
-            scan_containers(&self.containers, nodes.len())
-        };
         let ContainerScan {
             msgs,
             pods,
@@ -245,7 +219,7 @@ impl Simulation<'_> {
             used,
             borrowed,
             lent,
-        } = scan;
+        } = scan_containers(&self.containers, nodes.len());
         out.extend(msgs);
 
         if alive != self.live_count {
@@ -319,24 +293,8 @@ impl Simulation<'_> {
         }
 
         let selection = self.cfg.rm.container_selection;
-        let listed = if par {
-            let stages = &self.stages;
-            let containers = &self.containers;
-            let ranges = partition_ranges(stages.len(), self.par_workers);
-            let parts = fifer_core::pool::execute(ranges, self.par_workers, |r| {
-                scan_stages(&stages[r.clone()], r.start, containers, nodes, selection)
-            });
-            let mut listed = 0usize;
-            for (msgs, n) in parts {
-                out.extend(msgs);
-                listed += n;
-            }
-            listed
-        } else {
-            let (msgs, listed) = scan_stages(&self.stages, 0, &self.containers, nodes, selection);
-            out.extend(msgs);
-            listed
-        };
+        let (msgs, listed) = scan_stages(&self.stages, &self.containers, nodes, selection);
+        out.extend(msgs);
         if listed != alive {
             out.push(format!(
                 "stage container lists hold {listed} entries but {alive} containers are alive"
@@ -360,10 +318,8 @@ impl Simulation<'_> {
     }
 }
 
-/// Tallies from one contiguous slice of the container table. Partials
-/// from different slices merge by elementwise addition (and message
-/// concatenation in slice order), so any partition of the table yields
-/// the same whole.
+/// Per-node tallies and violation messages from one pass over the
+/// container table.
 struct ContainerScan {
     msgs: Vec<String>,
     pods: Vec<usize>,
@@ -394,35 +350,9 @@ impl ContainerScan {
             lent: vec![ResourceVec::ZERO; num_nodes],
         }
     }
-
-    fn merge(&mut self, other: ContainerScan) {
-        self.msgs.extend(other.msgs);
-        for (a, b) in self.pods.iter_mut().zip(other.pods) {
-            *a += b;
-        }
-        for (a, b) in self.executing.iter_mut().zip(other.executing) {
-            *a += b;
-        }
-        self.alive += other.alive;
-        self.bound += other.bound;
-        for (a, b) in self.alloc.iter_mut().zip(other.alloc) {
-            *a += b;
-        }
-        for (a, b) in self.used.iter_mut().zip(other.used) {
-            *a += b;
-        }
-        for (a, b) in self.borrowed.iter_mut().zip(other.borrowed) {
-            *a += b;
-        }
-        for (a, b) in self.lent.iter_mut().zip(other.lent) {
-            *a += b;
-        }
-    }
 }
 
-/// Dispatch-safety and per-node tallies over one slice of the container
-/// table (messages reference container ids, so slicing never changes
-/// them).
+/// Dispatch-safety and per-node tallies over the container table.
 fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan {
     let mut scan = ContainerScan::new(num_nodes);
     for c in containers {
@@ -480,21 +410,18 @@ fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan 
     scan
 }
 
-/// Per-stage index/ledger checks over `stages[base..base + stages.len()]`
-/// of the stage table; returns the violation messages and the number of
+/// Per-stage index/ledger checks over the stage table; returns the violation messages and the number of
 /// stage-listed containers seen. `selection` decides the free-slot index
 /// rank each container must be keyed under.
 fn scan_stages(
     stages: &[StageRuntime],
-    base: usize,
     containers: &[Container],
     nodes: &[Node],
     selection: ContainerSelection,
 ) -> (Vec<String>, usize) {
     let mut out = Vec::new();
     let mut listed = 0usize;
-    for (off, s) in stages.iter().enumerate() {
-        let sidx = base + off;
+    for (sidx, s) in stages.iter().enumerate() {
         let mut free = 0usize;
         let mut stage_exec = 0usize;
         let mut stage_alloc = ResourceVec::ZERO;

@@ -54,12 +54,6 @@ pub struct Simulation<'a> {
     pub(crate) cfg: SimConfig,
     pub(crate) stream: &'a JobStream,
     pub(crate) queue: EngineQueue,
-    /// Worker threads for parallel phase work (idle scans, audit deep
-    /// scans): one per available core, 1 on the reference engine. Never
-    /// changes a result — partitioned phases merge their results in
-    /// deterministic index order, so any worker count produces identical
-    /// output.
-    pub(crate) par_workers: usize,
     pub(crate) rng: StdRng,
     /// Separate RNG for fault draws, so the workload's stochastic path
     /// (exec jitter, early exits) is bit-identical with and without an
@@ -234,19 +228,15 @@ impl<'a> Simulation<'a> {
         let slo = SloAccountant::new(cfg.slo);
         let slo_whole_run = SloAccountant::new(cfg.slo);
         let trace = SimTrace::new(cfg.trace.capacity);
-        let (queue, par_workers) = if cfg.use_serial_engine {
-            (EngineQueue::Reference(EventQueue::new()), 1)
+        let queue = if cfg.use_serial_engine {
+            EngineQueue::Reference(EventQueue::new())
         } else {
-            (
-                EngineQueue::Slab(SlabEventQueue::new()),
-                fifer_core::pool::default_workers(),
-            )
+            EngineQueue::Slab(SlabEventQueue::new())
         };
         Simulation {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xF1FE_F1FE),
             fault_rng: StdRng::seed_from_u64(cfg.faults.seed ^ cfg.seed ^ 0xFA17_FA17),
             queue,
-            par_workers,
             cluster,
             containers: Vec::new(),
             stages,
@@ -546,7 +536,7 @@ impl<'a> Simulation<'a> {
             let warmup_job = j.submitted < SimTime::ZERO + self.cfg.warmup;
             let record = RequestRecord {
                 job_id: task.job as u64,
-                app: app.to_string(),
+                app: app.name(),
                 submitted: j.submitted,
                 completed: now,
                 breakdown: j.breakdown,

@@ -157,27 +157,6 @@ impl EventQueue {
     }
 }
 
-/// Splits `len` items into at most `parts` contiguous, near-equal ranges.
-/// Deterministic in its inputs: phase scans partitioned this way merge
-/// their per-range results back in index order, so the worker count never
-/// changes the merged output.
-pub(crate) fn partition_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.clamp(1, len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let size = base + usize::from(i < extra);
-        if size == 0 {
-            break;
-        }
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
 /// The default event engine: a pre-sorted arrival slab read by a cursor,
 /// plus one heap for dynamically scheduled events.
 ///
@@ -529,19 +508,5 @@ mod tests {
     #[should_panic(expected = "out of time order")]
     fn slab_rejects_unsorted_arrivals() {
         SlabEventQueue::new().load_arrivals([secs(2), secs(1)]);
-    }
-
-    #[test]
-    fn partition_ranges_cover_exactly_once() {
-        for (len, parts) in [(0, 4), (1, 4), (7, 3), (100, 8), (5, 64)] {
-            let ranges = partition_ranges(len, parts);
-            let mut covered = 0;
-            for r in &ranges {
-                assert_eq!(r.start, covered, "ranges must be contiguous");
-                covered = r.end;
-            }
-            assert_eq!(covered, len, "ranges must cover every index");
-            assert!(ranges.len() <= parts.max(1));
-        }
     }
 }

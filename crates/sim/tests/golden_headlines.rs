@@ -14,9 +14,10 @@ use fifer_core::rm::RmKind;
 use fifer_metrics::{SimDuration, SimTime};
 use fifer_sim::driver::Simulation;
 use fifer_sim::fault::{FaultPlan, NodeOutage};
-use fifer_sim::results::Headline;
-use fifer_sim::SimConfig;
+use fifer_sim::results::{Fnv1aWriter, Headline};
+use fifer_sim::{SimConfig, SimResult};
 use fifer_workloads::{AzureWorkloadConfig, JobStream, PoissonTrace, WorkloadMix};
+use std::io::Write;
 
 /// (rm, rate, secs, stream seed, expected headline).
 #[allow(clippy::excessive_precision)]
@@ -270,7 +271,7 @@ const GOLDEN_FAULTED: [(RmKind, Headline); 2] = [
     ),
 ];
 
-fn run(kind: RmKind, rate: f64, secs: u64, seed: u64) -> Headline {
+fn run_result(kind: RmKind, rate: f64, secs: u64, seed: u64) -> SimResult {
     let stream = JobStream::generate(
         &PoissonTrace::new(rate),
         WorkloadMix::Medium,
@@ -278,7 +279,11 @@ fn run(kind: RmKind, rate: f64, secs: u64, seed: u64) -> Headline {
         seed,
     );
     let cfg = SimConfig::prototype(kind.config(), rate);
-    Simulation::new(cfg, &stream).run().headline()
+    Simulation::new(cfg, &stream).run()
+}
+
+fn run(kind: RmKind, rate: f64, secs: u64, seed: u64) -> Headline {
+    run_result(kind, rate, secs, seed).headline()
 }
 
 #[test]
@@ -290,6 +295,31 @@ fn headlines_match_pre_refactor_goldens() {
             "{kind} @ rate={rate} secs={secs} seed={seed}: headline drifted from the \
              pre-refactor golden"
         );
+    }
+}
+
+/// On every golden run, `write_json` streams exactly the bytes `to_json`
+/// returns, and the streaming FNV-1a digest equals the digest of those
+/// bytes — so digests taken without building the string are the same
+/// continuity digests.
+#[test]
+fn write_json_streams_the_to_json_bytes_on_golden_runs() {
+    for (kind, rate, secs, seed, _) in GOLDEN {
+        let r = run_result(kind, rate, secs, seed);
+        let json = r.to_json();
+        let mut streamed = Vec::new();
+        r.write_json(&mut streamed).expect("Vec writes cannot fail");
+        assert!(
+            streamed == json.as_bytes(),
+            "{kind} @ seed={seed}: streamed JSON differs from to_json"
+        );
+        let mut whole = Fnv1aWriter::new();
+        whole
+            .write_all(json.as_bytes())
+            .expect("digesting cannot fail");
+        let mut chunked = Fnv1aWriter::new();
+        r.write_json(&mut chunked).expect("digesting cannot fail");
+        assert_eq!(chunked.digest(), whole.digest(), "{kind} @ seed={seed}");
     }
 }
 

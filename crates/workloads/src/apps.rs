@@ -93,17 +93,23 @@ impl Application {
             transition_overhead: overhead / transitions,
         }
     }
-}
 
-impl fmt::Display for Application {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
+    /// The application's display name, as the paper writes it (what
+    /// `Display` prints and `FromStr` parses). Static, so per-request
+    /// records can carry it without allocating.
+    pub fn name(self) -> &'static str {
+        match self {
             Application::FaceSecurity => "FaceSecurity",
             Application::Img => "IMG",
             Application::Ipa => "IPA",
             Application::DetectFatigue => "DetectFatigue",
-        };
-        f.write_str(name)
+        }
+    }
+}
+
+impl fmt::Display for Application {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -11,15 +11,8 @@
 //! tier, not only in the workspace suites.
 
 use fifer::prelude::*;
-use fifer::sim::results::Headline;
+use fifer::sim::results::{Fnv1aWriter, Headline};
 use fifer::sim::ClusterConfig;
-
-/// FNV-1a over the serialized result: a compact, dependency-free digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// Fifer on 256 nodes under 90 s of the WITS burst trace at the paper
 /// rate. The 10 s idle timeout keeps killing containers mid-run, so pod
@@ -58,7 +51,8 @@ const PINNED_HEADLINE: Headline = Headline {
     energy_joules: 1427883.3022,
 };
 
-/// FNV-1a of the scan-based pick's `SimResult::to_json` on this run.
+/// FNV-1a of the scan-based pick's `SimResult::to_json` on this run
+/// (digested here as `write_json` streams it).
 const PINNED_DIGEST: u64 = 0x30fc_9842_5324_2724;
 
 #[test]
@@ -72,8 +66,10 @@ fn greedy_dispatch_on_many_nodes_matches_pinned_digest() {
     );
     assert_eq!(r.records.len() as u64 + r.jobs_dropped, stream.len() as u64);
     assert_eq!(r.headline(), PINNED_HEADLINE);
+    let mut digest = Fnv1aWriter::new();
+    r.write_json(&mut digest).expect("digesting cannot fail");
     assert_eq!(
-        fnv1a(r.to_json().as_bytes()),
+        digest.digest(),
         PINNED_DIGEST,
         "greedy dispatch diverged from the pinned run"
     );
