@@ -5,8 +5,8 @@
 //! dependencies.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
+use std::fs::{self, File};
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 
 /// Builds a column-aligned text table.
@@ -121,16 +121,29 @@ impl Table {
     }
 }
 
+/// Creates (or truncates) `path` for buffered writing, creating parent
+/// directories as needed. Callers must `flush` the writer to see write
+/// errors.
+///
+/// # Errors
+///
+/// Returns any I/O error from directory or file creation.
+pub fn create_file<P: AsRef<Path>>(path: P) -> io::Result<BufWriter<File>> {
+    if let Some(parent) = path.as_ref().parent() {
+        fs::create_dir_all(parent)?;
+    }
+    Ok(BufWriter::new(File::create(path)?))
+}
+
 /// Writes `content` to `path`, creating parent directories as needed.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from directory creation or the write.
 pub fn write_file<P: AsRef<Path>>(path: P, content: &str) -> io::Result<()> {
-    if let Some(parent) = path.as_ref().parent() {
-        fs::create_dir_all(parent)?;
-    }
-    fs::write(path, content)
+    let mut w = create_file(path)?;
+    w.write_all(content.as_bytes())?;
+    w.flush()
 }
 
 /// Formats one CSV line with minimal RFC-4180 quoting.
