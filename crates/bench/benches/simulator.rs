@@ -1,12 +1,12 @@
 //! Criterion benchmarks for the discrete-event simulator itself: end-to-end
-//! throughput per resource manager and the event-queue hot path.
+//! throughput per resource manager and the event-engine hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fifer_bench::perf::{deep_queue_tasks, drain_indexed, drain_linear};
 use fifer_core::rm::RmKind;
 use fifer_core::scheduling::SchedulingPolicy;
 use fifer_metrics::{SimDuration, SimTime};
-use fifer_sim::engine::{Event, EventQueue};
+use fifer_sim::engine::{Event, SlabEventQueue};
 use fifer_sim::{SimConfig, Simulation};
 use fifer_workloads::{JobStream, PoissonTrace, WorkloadMix};
 use std::hint::black_box;
@@ -27,17 +27,22 @@ fn bench_deep_queue_dispatch(c: &mut Criterion) {
 }
 
 fn bench_event_queue(c: &mut Criterion) {
+    // the shipped engine as a replay drives it: 1k job arrivals loaded
+    // through the slab, each scheduling a completion into the heap
     c.bench_function("event_queue_push_pop_1k", |b| {
         b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1_000u64 {
-                q.schedule(
-                    SimTime::from_micros((i * 7919) % 1_000_000),
-                    Event::JobArrival { job: i as usize },
-                );
-            }
-            let mut count = 0;
-            while q.pop().is_some() {
+            let mut q = SlabEventQueue::new();
+            q.load_arrivals((0..1_000u64).map(|i| SimTime::from_micros(i * 1_000)));
+            let mut count = 0u64;
+            while let Some((at, event)) = q.pop() {
+                if let Event::JobArrival { job } = event {
+                    q.schedule(
+                        at + SimDuration::from_micros((job as u64 * 7919) % 100_000),
+                        Event::TaskFinish {
+                            container: job as u64,
+                        },
+                    );
+                }
                 count += 1;
             }
             black_box(count)

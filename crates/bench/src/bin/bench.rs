@@ -306,12 +306,9 @@ fn main() {
         |kind: RmKind| {
             let (cfg, stream) = spec_for(kind).build_parts();
             let t0 = Instant::now();
-            let (rm, warm) = cfg.rm.build_rm_served(
-                cfg.seed,
-                &cfg.pretrain_series,
-                cfg.use_reference_nn,
-                cache.as_ref(),
-            );
+            let (rm, warm) = cfg
+                .rm
+                .build_rm_served(cfg.seed, &cfg.pretrain_series, cache.as_ref());
             (kind, cfg, stream, rm, warm, t0.elapsed().as_secs_f64())
         },
     );
@@ -518,9 +515,7 @@ fn engine_bench(spec: &RunSpec, reps: usize) -> EngineSection {
         let mut spec = spec.clone();
         spec.use_serial_engine = serial;
         let (cfg, stream) = spec.build_parts();
-        let rm = cfg
-            .rm
-            .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+        let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
         let sim = Simulation::with_resource_manager(cfg, &stream, rm);
         let t0 = Instant::now();
         let r = sim.run();
@@ -570,9 +565,7 @@ fn wild_bench(quick: bool) -> WildSection {
         fifer_bench::pool::default_workers(),
         move |kind: RmKind| {
             let (cfg, stream) = azure_parts(kind.config(), &azure, horizon, warmup, 42);
-            let rm = cfg
-                .rm
-                .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+            let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
             (kind, cfg, stream, rm)
         },
     );

@@ -1077,7 +1077,8 @@ impl RmConfig {
     /// [`build_rm`](Self::build_rm) with an explicit NN-path selection:
     /// `reference_nn` routes any neural predictor through the original
     /// scalar implementation instead of the flat-workspace one
-    /// (bit-identical; for differential testing).
+    /// (bit-identical). This is the NN oracle: differential tests hand the
+    /// reference-NN policy to the simulator's `with_resource_manager`.
     pub fn build_rm_with(
         &self,
         seed: u64,
@@ -1096,23 +1097,22 @@ impl RmConfig {
         self.assemble(load)
     }
 
-    /// [`build_rm_with`](Self::build_rm_with) plus checkpoint-cache
-    /// serving: neural predictors warm-start from `cache` when a
-    /// same-keyed checkpoint exists (skipping pretraining entirely,
-    /// bit-identical forecasts), and store their freshly-trained weights
-    /// back on a cold start. Returns how the predictor was served.
+    /// [`build_rm`](Self::build_rm) plus checkpoint-cache serving: neural
+    /// predictors warm-start from `cache` when a same-keyed checkpoint
+    /// exists (skipping pretraining entirely, bit-identical forecasts),
+    /// and store their freshly-trained weights back on a cold start.
+    /// Returns how the predictor was served.
     pub fn build_rm_served(
         &self,
         seed: u64,
         pretrain: &[f64],
-        reference_nn: bool,
         cache: Option<&ModelCache>,
     ) -> (Box<dyn ResourceManager>, WarmStart) {
         let (load, warm) = LoadModel::build_served(
             self.predictor,
             seed,
             pretrain,
-            reference_nn,
+            false,
             self.online_retrain,
             cache,
         );

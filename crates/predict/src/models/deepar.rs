@@ -32,7 +32,7 @@ pub struct DeepArPredictor {
     sigma_bias: f64,
     /// Route through the original per-step-allocating NN path
     /// (differential testing; bit-identical to the flat path).
-    use_reference_nn: bool,
+    reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -59,7 +59,7 @@ impl DeepArPredictor {
             train_step: 0,
             epochs_run: 0,
             sigma_bias: 0.0,
-            use_reference_nn: false,
+            reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             head_out: vec![0.0; 2],
@@ -83,7 +83,7 @@ impl DeepArPredictor {
     /// Routes through the original per-step-allocating NN implementation.
     /// Bit-identical to the default flat-workspace path.
     pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
+        self.reference_nn = reference;
         self
     }
 
@@ -125,7 +125,7 @@ impl DeepArPredictor {
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         let hidden = self.cell.hidden();
         for (x, target) in pairs {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 let (mu, sigma, h) = self.run(x, true);
                 let z = (target - mu) / sigma;
                 let dmu = -z / sigma;
@@ -161,7 +161,7 @@ impl DeepArPredictor {
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler, bias) = (self.cfg.lags, self.scaler, self.sigma_bias);
         val_error_over(val, lags, scaler, |x| {
-            let (mu, sigma) = if self.use_reference_nn {
+            let (mu, sigma) = if self.reference_nn {
                 let (mu, sigma, _) = self.run(x, false);
                 (mu, sigma)
             } else {
@@ -223,7 +223,7 @@ impl LoadPredictor for DeepArPredictor {
         if self.window.is_empty() {
             return 0.0;
         }
-        if self.use_reference_nn {
+        if self.reference_nn {
             let raw = self.window.padded();
             if !self.trained {
                 return *raw.last().expect("window is non-empty");

@@ -28,7 +28,7 @@ pub struct SimpleFfPredictor {
     epochs_run: usize,
     /// Route through the original per-call-allocating NN path
     /// (differential testing; bit-identical to the scratch-buffer path).
-    use_reference_nn: bool,
+    reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -58,7 +58,7 @@ impl SimpleFfPredictor {
             trained: false,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
+            reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             h_pre: vec![0.0; hidden],
@@ -83,7 +83,7 @@ impl SimpleFfPredictor {
     /// Routes through the original per-call-allocating NN implementation.
     /// Bit-identical to the default scratch-buffer path.
     pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
+        self.reference_nn = reference;
         self
     }
 
@@ -108,7 +108,7 @@ impl SimpleFfPredictor {
     /// bit-identical; the optimized one reuses the scratch buffers.
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         for (x, y) in pairs {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 let h_pre = self.l1.forward(x);
                 let h: Vec<f64> = h_pre.iter().map(|v| v.tanh()).collect();
                 let out = self.l2.forward(&h)[0];
@@ -143,7 +143,7 @@ impl SimpleFfPredictor {
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
         val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 self.predict_normalized(x)
             } else {
                 self.predict_normalized_flat(x)
@@ -203,7 +203,7 @@ impl LoadPredictor for SimpleFfPredictor {
         if self.window.is_empty() {
             return 0.0;
         }
-        if self.use_reference_nn {
+        if self.reference_nn {
             let raw = self.window.padded();
             if !self.trained {
                 // untrained fallback: last observation

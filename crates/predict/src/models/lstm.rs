@@ -42,7 +42,7 @@ pub struct LstmPredictor {
     /// Route through the original per-step-allocating NN path instead of
     /// the flat-workspace one (differential testing; both are
     /// bit-identical).
-    use_reference_nn: bool,
+    reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -88,7 +88,7 @@ impl LstmPredictor {
             observations: 0,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
+            reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             dh_flat: Vec::new(),
@@ -142,7 +142,7 @@ impl LstmPredictor {
     /// Bit-identical to the default flat-workspace path; kept so the
     /// differential suite (and skeptical users) can check that end to end.
     pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
+        self.reference_nn = reference;
         self
     }
 
@@ -186,7 +186,7 @@ impl LstmPredictor {
     /// exactly as the original implementation did. Both are bit-identical.
     fn fit_pass_norm(&mut self, norm: &[f64]) {
         let lags = self.cfg.lags;
-        if self.use_reference_nn {
+        if self.reference_nn {
             let pairs = windowed_pairs(norm, lags);
             for (x, target) in &pairs {
                 let (per_layer_h, y) = self.run_stack(x, true);
@@ -261,7 +261,7 @@ impl LstmPredictor {
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
         val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 self.run_stack(x, false).1
             } else {
                 self.forward_flat(x, false)
@@ -291,7 +291,7 @@ impl LstmPredictor {
         if !self.trained {
             return last;
         }
-        if self.use_reference_nn {
+        if self.reference_nn {
             let x = self.scaler.transform_series(window);
             let (_, y) = self.run_stack(&x, false);
             return self.scaler.inverse(y).max(0.0);
@@ -475,7 +475,7 @@ impl LoadPredictor for LstmPredictor {
         if self.window.is_empty() {
             return 0.0;
         }
-        if self.use_reference_nn {
+        if self.reference_nn {
             let raw = self.window.padded();
             if !self.trained {
                 return *raw.last().expect("window is non-empty");

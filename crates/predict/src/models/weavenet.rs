@@ -43,7 +43,7 @@ pub struct WeaveNetPredictor {
     epochs_run: usize,
     /// Route through the original `Vec<Vec>` NN path (differential
     /// testing; bit-identical to the flat path).
-    use_reference_nn: bool,
+    reference_nn: bool,
     /// Scratch: raw padded lag window.
     raw_buf: Vec<f64>,
     /// Scratch: normalized lag window.
@@ -97,7 +97,7 @@ impl WeaveNetPredictor {
             trained: false,
             train_step: 0,
             epochs_run: 0,
-            use_reference_nn: false,
+            reference_nn: false,
             raw_buf: Vec::new(),
             norm_buf: Vec::new(),
             feat_flat: Vec::new(),
@@ -140,7 +140,7 @@ impl WeaveNetPredictor {
     /// Routes through the original `Vec<Vec>` NN implementation.
     /// Bit-identical to the default flat-layout path.
     pub fn with_reference_nn(mut self, reference: bool) -> Self {
-        self.use_reference_nn = reference;
+        self.reference_nn = reference;
         self
     }
 
@@ -193,7 +193,7 @@ impl WeaveNetPredictor {
     /// bit-identical; the optimized one reuses the flat buffers.
     fn fit_pass(&mut self, pairs: &[(Vec<f64>, f64)]) {
         for (x, target) in pairs {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 let (activations, y) = self.run(x);
                 let derr = 2.0 * (y - target);
                 let steps = x.len();
@@ -233,7 +233,7 @@ impl WeaveNetPredictor {
     fn val_error_norm(&mut self, val: &[f64]) -> f64 {
         let (lags, scaler) = (self.cfg.lags, self.scaler);
         val_error_over(val, lags, scaler, |x| {
-            if self.use_reference_nn {
+            if self.reference_nn {
                 self.run(x).1
             } else {
                 self.run_flat(x)
@@ -299,7 +299,7 @@ impl LoadPredictor for WeaveNetPredictor {
         if self.window.is_empty() {
             return 0.0;
         }
-        if self.use_reference_nn {
+        if self.reference_nn {
             let raw = self.window.padded();
             if !self.trained {
                 return *raw.last().expect("window is non-empty");

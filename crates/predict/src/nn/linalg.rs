@@ -2,7 +2,7 @@
 //!
 //! Every kernel exists in two forms: an allocating reference form (the
 //! original scalar implementation, kept for tests and the
-//! `use_reference_nn` differential path) and a write-into form taking a
+//! `with_reference_nn` differential path) and a write-into form taking a
 //! `&mut [f64]` output slice for the allocation-free hot loops. The two
 //! forms are **bit-identical** by construction: each output element is
 //! accumulated as the same ordered sequence of IEEE-754 adds, so the

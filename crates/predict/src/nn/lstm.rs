@@ -54,8 +54,8 @@ struct StepCache {
 ///
 /// - the **reference** path ([`forward_step`](Self::forward_step) /
 ///   [`backward`](Self::backward)) — the original per-step-allocating
-///   implementation, kept verbatim for the `use_reference_nn`
-///   differential flag;
+///   implementation, kept verbatim as the `with_reference_nn`
+///   differential oracle;
 /// - the **sequence** path ([`forward_seq`](Self::forward_seq) /
 ///   [`backward_seq`](Self::backward_seq)) — one call per window over
 ///   flat preallocated workspace buffers, with zero heap allocation once

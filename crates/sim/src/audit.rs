@@ -23,28 +23,33 @@
 //!   free-slot index holds exactly the live containers with free slots,
 //!   each once, in the bucket of its actual free-slot count and under its
 //!   node's current selection rank.
+//! * **Scheduler oracle** — each stage queue's next pop is the task the
+//!   reference linear-scan scheduler
+//!   ([`select_task_iter`](fifer_core::scheduling::select_task_iter))
+//!   picks under the configured policy, so every audited run checks the
+//!   indexed dispatch order against it.
 //! * **Counter reconciliation** — the decision trace's lifetime counters
 //!   (spawns, kills, failures, requeues, drops) reconcile with the
 //!   driver's totals that end up in the [`SimResult`](crate::SimResult).
 //!
 //! Cheap O(stages + nodes) checks run on every event. The full
-//! container-table scan runs every [`DEEP_SCAN_PERIOD`]th event on the
-//! reference engine; on the default engine it runs at monitor-tick
-//! commits, which keeps `--audit` usable at the 50k-core scale (a
-//! per-64-event full scan over a 100k-container table would dominate the
-//! run). Both cadences deep-scan once more after the queue drains, and a
+//! container-table scan runs every [`DEEP_SCAN_PERIOD`]th event under
+//! [`SimConfig::use_serial_engine`](crate::config::SimConfig); by default
+//! it runs at monitor-tick commits, which keeps `--audit` usable at the
+//! 50k-core scale (a per-64-event full scan over a 100k-container table
+//! would dominate the run). Both cadences deep-scan once more after the queue drains, and a
 //! clean run reports zero violations under either.
 
 use crate::cluster::Node;
 use crate::container::{Container, ContainerState};
 use crate::driver::Simulation;
-use crate::engine::{EngineQueue, Event};
-use crate::stage::{selection_rank, StageRuntime};
+use crate::engine::Event;
+use crate::stage::{selection_rank, StageRuntime, StageTask};
 use fifer_core::resources::ResourceVec;
-use fifer_core::scheduling::ContainerSelection;
+use fifer_core::scheduling::{select_task_iter, ContainerSelection, SchedulingPolicy};
 use fifer_metrics::SimTime;
 
-/// On the reference engine, deep scans run every this-many audited events;
+/// On the serial engine, deep scans run every this-many audited events;
 /// cheap conservation checks run on every one. The final commit always
 /// deep-scans.
 const DEEP_SCAN_PERIOD: u64 = 64;
@@ -80,11 +85,12 @@ impl Simulation<'_> {
         audit.checks += 1;
         let mut msgs = Vec::new();
         self.check_cheap(&mut msgs);
-        // Reference engine: deep-scan on a fixed event cadence. Default
+        // Serial engine: deep-scan on a fixed event cadence. Default
         // engine: deep-scan at monitor-tick commits.
-        let deep = match &self.queue {
-            EngineQueue::Reference(_) => audit.checks.is_multiple_of(DEEP_SCAN_PERIOD),
-            EngineQueue::Slab(_) => matches!(event, Event::MonitorTick),
+        let deep = if self.cfg.use_serial_engine {
+            audit.checks.is_multiple_of(DEEP_SCAN_PERIOD)
+        } else {
+            matches!(event, Event::MonitorTick)
         };
         if deep {
             self.check_deep(&mut msgs);
@@ -206,7 +212,8 @@ impl Simulation<'_> {
     }
 
     /// Full scan over the container table: per-node and per-stage resource
-    /// accounting, dispatch safety, and request conservation.
+    /// accounting, dispatch safety, the scheduler oracle, and request
+    /// conservation.
     fn check_deep(&self, out: &mut Vec<String>) {
         let nodes = self.cluster.nodes();
         let ContainerScan {
@@ -292,8 +299,14 @@ impl Simulation<'_> {
             }
         }
 
-        let selection = self.cfg.rm.container_selection;
-        let (msgs, listed) = scan_stages(&self.stages, &self.containers, nodes, selection);
+        let rm = &self.cfg.rm;
+        let (msgs, listed) = scan_stages(
+            &self.stages,
+            &self.containers,
+            nodes,
+            rm.container_selection,
+            rm.scheduling,
+        );
         out.extend(msgs);
         if listed != alive {
             out.push(format!(
@@ -410,14 +423,16 @@ fn scan_containers(containers: &[Container], num_nodes: usize) -> ContainerScan 
     scan
 }
 
-/// Per-stage index/ledger checks over the stage table; returns the violation messages and the number of
-/// stage-listed containers seen. `selection` decides the free-slot index
-/// rank each container must be keyed under.
+/// Per-stage index/ledger checks over the stage table; returns the
+/// violation messages and the number of stage-listed containers seen.
+/// `selection` decides the free-slot index rank each container must be
+/// keyed under, `scheduling` the task each queue must pop next.
 fn scan_stages(
     stages: &[StageRuntime],
     containers: &[Container],
     nodes: &[Node],
     selection: ContainerSelection,
+    scheduling: SchedulingPolicy,
 ) -> (Vec<String>, usize) {
     let mut out = Vec::new();
     let mut listed = 0usize;
@@ -502,6 +517,24 @@ fn scan_stages(
                 s.used, stage_used
             ));
         }
+        // the scheduler oracle: the indexed queue's next pop is the task
+        // the reference linear scan picks (every policy's key is
+        // clock-independent, so the scan needs no clock)
+        let next = s.queue.peek();
+        let picked = select_task_iter(
+            scheduling,
+            s.queue.iter().map(StageTask::as_queued).enumerate(),
+            SimTime::ZERO,
+        )
+        .and_then(|i| s.queue.iter().nth(i));
+        if next != picked {
+            out.push(format!(
+                "stage {sidx}: queue would pop job {:?} but the {scheduling:?} reference \
+                 scheduler picks job {:?}",
+                next.map(|t| t.job),
+                picked.map(|t| t.job)
+            ));
+        }
         // per-stage task ledger: everything that entered the queue is
         // pending, bound, executed, or was lost to a fault
         let bound_in_stage: usize = s
@@ -528,8 +561,10 @@ fn scan_stages(
 mod tests {
     use crate::config::SimConfig;
     use crate::driver::Simulation;
+    use crate::stage::{IndexedTaskQueue, StageTask};
     use fifer_core::policy::DecisionCause;
     use fifer_core::rm::RmKind;
+    use fifer_core::scheduling::SchedulingPolicy;
     use fifer_metrics::{SimDuration, SimTime};
     use fifer_workloads::{JobStream, PoissonTrace, WorkloadMix};
 
@@ -649,6 +684,45 @@ mod tests {
                 "holds container {second} in bucket {free} at rank 3"
             ))),
             "expected the free-slot index check to fire: {msgs:?}"
+        );
+    }
+
+    #[test]
+    fn misordered_stage_queue_is_detected() {
+        let stream = jobs();
+        let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 5.0);
+        cfg.audit = true;
+        let mut s = Simulation::new(cfg, &stream);
+        assert_eq!(s.cfg.rm.scheduling, SchedulingPolicy::Lsf);
+        // job 0 arrived first but has plenty of slack; job 1 is tighter,
+        // so Least-Slack-First must dispatch it ahead of job 0
+        let tasks = [(0, 0, 5_000), (1, 10, 400)].map(|(job, enq_ms, deadline_ms)| StageTask {
+            job,
+            enqueued: SimTime::from_millis(enq_ms),
+            job_deadline: SimTime::from_millis(deadline_ms),
+            remaining_work: SimDuration::from_millis(100),
+            retries: 0,
+        });
+        for t in tasks {
+            s.stages[0].enqueue(t);
+        }
+        s.pending_tasks += tasks.len();
+        s.jobs_arrived += tasks.len() as u64;
+        let mut msgs = Vec::new();
+        s.check_deep(&mut msgs);
+        assert!(msgs.is_empty(), "an LSF-keyed queue flagged: {msgs:?}");
+        // the same tasks in a FIFO-keyed queue pop job 0 first
+        let mut fifo = IndexedTaskQueue::new(SchedulingPolicy::Fifo);
+        for t in tasks {
+            fifo.push(t);
+        }
+        s.stages[0].queue = fifo;
+        s.check_deep(&mut msgs);
+        assert!(
+            msgs.iter().any(|m| m.contains(
+                "stage 0: queue would pop job Some(0) but the Lsf reference scheduler picks job Some(1)"
+            )),
+            "expected the scheduler oracle to fire: {msgs:?}"
         );
     }
 

@@ -103,26 +103,17 @@ pub struct SimConfig {
     pub min_warm_pool: usize,
     /// RNG seed for exec-time jitter and any stochastic choices.
     pub seed: u64,
-    /// Dispatch tasks through the reference linear-scan scheduler
-    /// (`fifer_core::scheduling::select_task_iter`) instead of the indexed
-    /// priority queue's O(log Q) pop. The two are required to produce
-    /// bit-identical runs; this flag exists so differential tests (and
-    /// skeptical users) can check that end to end. Slower — O(Q) per
-    /// dispatched task — and off by default.
-    pub use_reference_scheduler: bool,
-    /// Build any neural predictor on the original per-step-allocating NN
-    /// implementation instead of the flat-workspace one. The two are
-    /// required to produce bit-identical runs; this flag exists so
-    /// differential tests (and skeptical users) can check that end to
-    /// end. Slower — per-timestep heap allocation — and off by default.
-    pub use_reference_nn: bool,
-    /// Run on the reference one-heap event engine
-    /// ([`EventQueue`](crate::engine::EventQueue)) instead of the
-    /// arrival-slab one ([`SlabEventQueue`](crate::engine::SlabEventQueue)).
-    /// The two are required to produce bit-identical runs; this flag
-    /// exists so differential tests (and skeptical users) can check that
-    /// end to end, mirroring `use_reference_scheduler`/`use_reference_nn`.
-    /// Off by default.
+    /// Schedule each job arrival into the event heap one by one instead
+    /// of loading the arrival slab
+    /// ([`SlabEventQueue::load_arrivals`](crate::engine::SlabEventQueue::load_arrivals)).
+    /// Both draw the same sequence numbers and commit the same order, so
+    /// the two runs are required to be byte-identical; this is the
+    /// whole-run engine reference that the engine differential suites, the
+    /// legacy bench's `engine` section and the CLI's `--serial-engine`
+    /// compare against. It also moves the audit deep scan to every 64th
+    /// event. Off by default. (The scheduler's oracle lives in the
+    /// auditor, the NN one behind
+    /// [`Simulation::with_resource_manager`](crate::driver::Simulation::with_resource_manager).)
     pub use_serial_engine: bool,
     /// Structured decision trace (ring capacity).
     /// Disabled by default; see [`crate::trace`].
@@ -163,8 +154,6 @@ impl SimConfig {
             tenants: 1,
             min_warm_pool: 0,
             seed: 1,
-            use_reference_scheduler: false,
-            use_reference_nn: false,
             use_serial_engine: false,
             trace: TraceConfig::default(),
             faults: FaultPlan::none(),

@@ -33,7 +33,7 @@ use crate::cluster::Cluster;
 use crate::config::SimConfig;
 use crate::container::Container;
 use crate::energy::{EnergyMeter, PowerModel};
-use crate::engine::{EngineQueue, Event, EventQueue, SlabEventQueue};
+use crate::engine::{Event, SlabEventQueue};
 use crate::fault::FaultKind;
 use crate::results::SimResult;
 use crate::stage::{StageRuntime, StageTask};
@@ -53,7 +53,7 @@ pub use crate::accounting::window_max_series;
 pub struct Simulation<'a> {
     pub(crate) cfg: SimConfig,
     pub(crate) stream: &'a JobStream,
-    pub(crate) queue: EngineQueue,
+    pub(crate) queue: SlabEventQueue,
     pub(crate) rng: StdRng,
     /// Separate RNG for fault draws, so the workload's stochastic path
     /// (exec jitter, early exits) is bit-identical with and without an
@@ -155,9 +155,7 @@ impl<'a> Simulation<'a> {
     ///
     /// Panics if `cfg` fails validation.
     pub fn new(cfg: SimConfig, stream: &'a JobStream) -> Self {
-        let rm = cfg
-            .rm
-            .build_rm_with(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn);
+        let rm = cfg.rm.build_rm(cfg.seed, &cfg.pretrain_series);
         Self::with_resource_manager(cfg, stream, rm)
     }
 
@@ -175,9 +173,9 @@ impl<'a> Simulation<'a> {
         stream: &'a JobStream,
         cache: Option<&fifer_predict::ModelCache>,
     ) -> (Self, fifer_core::WarmStart) {
-        let (rm, warm) =
-            cfg.rm
-                .build_rm_served(cfg.seed, &cfg.pretrain_series, cfg.use_reference_nn, cache);
+        let (rm, warm) = cfg
+            .rm
+            .build_rm_served(cfg.seed, &cfg.pretrain_series, cache);
         (Self::with_resource_manager(cfg, stream, rm), warm)
     }
 
@@ -228,15 +226,10 @@ impl<'a> Simulation<'a> {
         let slo = SloAccountant::new(cfg.slo);
         let slo_whole_run = SloAccountant::new(cfg.slo);
         let trace = SimTrace::new(cfg.trace.capacity);
-        let queue = if cfg.use_serial_engine {
-            EngineQueue::Reference(EventQueue::new())
-        } else {
-            EngineQueue::Slab(SlabEventQueue::new())
-        };
         Simulation {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0xF1FE_F1FE),
             fault_rng: StdRng::seed_from_u64(cfg.faults.seed ^ cfg.seed ^ 0xFA17_FA17),
-            queue,
+            queue: SlabEventQueue::new(),
             cluster,
             containers: Vec::new(),
             stages,
@@ -317,9 +310,16 @@ impl<'a> Simulation<'a> {
 
         // arrivals are a static, time-ordered run: the engine reads them
         // from a sorted slab through a cursor (O(1) per event) instead of
-        // heaping the entire stream up front
-        self.queue
-            .load_arrivals(self.stream.iter().map(|job| job.arrival));
+        // heaping the entire stream up front. The serial-engine reference
+        // heaps them one by one, drawing the same sequence numbers.
+        let arrivals = self.stream.iter().map(|job| job.arrival);
+        if self.cfg.use_serial_engine {
+            for (job, at) in arrivals.enumerate() {
+                self.queue.schedule(at, Event::JobArrival { job });
+            }
+        } else {
+            self.queue.load_arrivals(arrivals);
+        }
         if !self.stream.is_empty() {
             if self.rm.wants_reactive_ticks() {
                 self.queue.schedule(
@@ -1036,9 +1036,12 @@ mod tests {
     }
 
     /// Determinism golden test: the same seed run twice must be
-    /// bit-identical, and the indexed O(log Q) dispatch path must produce
-    /// exactly the run the reference linear-scan scheduler produces.
-    /// Serialized JSON covers every record, series point and counter.
+    /// bit-identical, and the indexed O(log Q) dispatch path must pop
+    /// exactly the task the reference linear-scan scheduler picks. The
+    /// reference run is audited on the serial engine, so the auditor's
+    /// scheduler oracle compares the two every 64th event; it must stay
+    /// clean and replay the default run byte for byte. Serialized JSON
+    /// covers every record, series point and counter.
     #[test]
     fn determinism_golden_indexed_vs_reference() {
         // Fifer exercises LSF + batching, Bline exercises FIFO + on-demand
@@ -1046,16 +1049,24 @@ mod tests {
             let stream = small_stream(5.0, 30, 11);
             let mk = |reference: bool| {
                 let mut cfg = SimConfig::prototype(kind.config(), 5.0);
-                cfg.use_reference_scheduler = reference;
-                Simulation::new(cfg, &stream).run().to_json()
+                cfg.audit = reference;
+                cfg.use_serial_engine = reference;
+                Simulation::new(cfg, &stream).run()
             };
-            let a = mk(false);
-            let b = mk(false);
-            let c = mk(true);
+            let a = mk(false).to_json();
+            let b = mk(false).to_json();
+            let checked = mk(true);
             assert_eq!(a, b, "{kind}: same seed twice must be bit-identical");
+            assert!(checked.audit_checks > 0, "{kind}: the oracle never ran");
+            assert!(
+                checked.audit_violations.is_empty(),
+                "{kind}: indexed dispatch diverged from the reference scheduler: {:?}",
+                checked.audit_violations
+            );
             assert_eq!(
-                a, c,
-                "{kind}: indexed dispatch must replay the reference scheduler exactly"
+                a,
+                checked.to_json(),
+                "{kind}: audited reference run diverged"
             );
         }
     }

@@ -9,15 +9,15 @@
 //! warm-ups, ticks, faults) goes into one binary heap, and each pop
 //! compares the two heads once.
 //!
-//! [`EventQueue`] is the reference engine: one binary heap over every
-//! pending event, arrivals included. It is kept as the differential
-//! oracle behind [`SimConfig::use_serial_engine`](crate::config::SimConfig),
-//! next to `use_reference_scheduler` and `use_reference_nn`.
-//!
-//! Both engines draw sequence numbers from one counter, in schedule-call
-//! order, and commit in `(time, seq)` order, so they produce the same
-//! total order — every run is bit-identical across the two by
-//! construction (DESIGN.md §12).
+//! Loading the slab takes one sequence number per arrival, in job order,
+//! exactly the numbers that scheduling each arrival into the heap in turn
+//! would take, and every pop commits the smaller `(time, seq)` key. So a
+//! run that heaps its arrivals one by one
+//! ([`SimConfig::use_serial_engine`](crate::config::SimConfig)) commits
+//! the same total order and is bit-identical by construction
+//! (DESIGN.md §12); that run is the whole-run engine reference. The unit
+//! tests pin the slab against a one-heap oracle queue over random
+//! interleavings of schedules, loads and pops.
 
 use crate::fault::FaultKind;
 use fifer_metrics::SimTime;
@@ -88,84 +88,15 @@ impl PartialOrd for Scheduled {
     }
 }
 
-/// The event queue plus simulation clock.
-///
-/// # Example
-///
-/// ```
-/// use fifer_sim::engine::{Event, EventQueue};
-/// use fifer_metrics::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(SimTime::from_secs(2), Event::ReactiveTick);
-/// q.schedule(SimTime::from_secs(1), Event::MonitorTick);
-/// let (t, e) = q.pop().unwrap();
-/// assert_eq!(t, SimTime::from_secs(1));
-/// assert_eq!(e, Event::MonitorTick);
-/// ```
-#[derive(Debug, Default)]
-pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl EventQueue {
-    /// Creates an empty queue at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current simulation time (the time of the last popped event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time — the simulator only
-    /// moves forward.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.heap.push(Scheduled {
-            at,
-            seq: self.next_seq,
-            event,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Pops the earliest event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|s| {
-            debug_assert!(s.at >= self.now, "heap yielded an out-of-order event");
-            self.now = s.at;
-            (s.at, s.event)
-        })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
 /// The default event engine: a pre-sorted arrival slab read by a cursor,
 /// plus one heap for dynamically scheduled events.
 ///
 /// The slab holds one [`SimTime`] per job: arrival `k` is
 /// [`Event::JobArrival`] `{ job: k }` with sequence number
-/// `first_arrival_seq + k`, exactly the numbers the reference engine
-/// assigns when it schedules the same arrivals one by one. A pop takes
+/// `first_arrival_seq + k`, exactly the numbers [`Self::schedule`]
+/// assigns when the same arrivals are scheduled one by one. A pop takes
 /// whichever of the two heads has the smaller `(time, seq)` key, so the
-/// committed order is the reference engine's total order.
+/// committed order is the one a single heap over every event would give.
 ///
 /// # Example
 ///
@@ -280,57 +211,6 @@ impl SlabEventQueue {
     }
 }
 
-/// The engine behind one simulation run: the default slab engine, or the
-/// reference one-heap engine when
-/// [`SimConfig::use_serial_engine`](crate::config::SimConfig) is set. The
-/// driver talks to this enum only.
-#[derive(Debug)]
-pub(crate) enum EngineQueue {
-    /// The reference single-heap engine.
-    Reference(EventQueue),
-    /// The arrival-slab engine (the default).
-    Slab(SlabEventQueue),
-}
-
-impl EngineQueue {
-    /// Schedules `event` at `at`.
-    pub(crate) fn schedule(&mut self, at: SimTime, event: Event) {
-        match self {
-            EngineQueue::Reference(q) => q.schedule(at, event),
-            EngineQueue::Slab(q) => q.schedule(at, event),
-        }
-    }
-
-    /// Loads job arrivals `0..n` (see [`SlabEventQueue::load_arrivals`];
-    /// the reference engine schedules them one by one).
-    pub(crate) fn load_arrivals(&mut self, arrivals: impl IntoIterator<Item = SimTime>) {
-        match self {
-            EngineQueue::Reference(q) => {
-                for (job, at) in arrivals.into_iter().enumerate() {
-                    q.schedule(at, Event::JobArrival { job });
-                }
-            }
-            EngineQueue::Slab(q) => q.load_arrivals(arrivals),
-        }
-    }
-
-    /// Pops the earliest event, advancing the clock.
-    pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            EngineQueue::Reference(q) => q.pop(),
-            EngineQueue::Slab(q) => q.pop(),
-        }
-    }
-
-    /// Number of pending events.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EngineQueue::Reference(q) => q.len(),
-            EngineQueue::Slab(q) => q.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,9 +220,67 @@ mod tests {
         SimTime::from_secs(s)
     }
 
+    /// The queue operations the slab engine and the oracle share, so one
+    /// workload can drive either.
+    trait Engine {
+        fn schedule(&mut self, at: SimTime, event: Event);
+        fn load_arrivals(&mut self, arrivals: Vec<SimTime>);
+        fn pop(&mut self) -> Option<(SimTime, Event)>;
+        fn len(&self) -> usize;
+    }
+
+    impl Engine for SlabEventQueue {
+        fn schedule(&mut self, at: SimTime, event: Event) {
+            SlabEventQueue::schedule(self, at, event);
+        }
+        fn load_arrivals(&mut self, arrivals: Vec<SimTime>) {
+            SlabEventQueue::load_arrivals(self, arrivals);
+        }
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            SlabEventQueue::pop(self)
+        }
+        fn len(&self) -> usize {
+            SlabEventQueue::len(self)
+        }
+    }
+
+    /// The one-heap oracle: every event, arrivals included, in one binary
+    /// heap, drawing sequence numbers in schedule-call order.
+    #[derive(Debug, Default)]
+    struct OneHeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+    }
+
+    impl Engine for OneHeapQueue {
+        fn schedule(&mut self, at: SimTime, event: Event) {
+            self.heap.push(Scheduled {
+                at,
+                seq: self.next_seq,
+                event,
+            });
+            self.next_seq += 1;
+        }
+
+        /// What the driver does for the serial-engine reference run.
+        fn load_arrivals(&mut self, arrivals: Vec<SimTime>) {
+            for (job, at) in arrivals.into_iter().enumerate() {
+                self.schedule(at, Event::JobArrival { job });
+            }
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.heap.pop().map(|s| (s.at, s.event))
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         q.schedule(secs(3), Event::ReactiveTick);
         q.schedule(secs(1), Event::MonitorTick);
         q.schedule(secs(2), Event::JobArrival { job: 0 });
@@ -352,7 +290,7 @@ mod tests {
 
     #[test]
     fn simultaneous_events_keep_insertion_order() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         q.schedule(secs(1), Event::JobArrival { job: 1 });
         q.schedule(secs(1), Event::JobArrival { job: 2 });
         q.schedule(secs(1), Event::JobArrival { job: 3 });
@@ -367,7 +305,7 @@ mod tests {
 
     #[test]
     fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
         q.schedule(secs(5), Event::MonitorTick);
         q.pop();
@@ -377,7 +315,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "into the past")]
     fn scheduling_into_the_past_panics() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         q.schedule(secs(5), Event::MonitorTick);
         q.pop();
         q.schedule(secs(1), Event::MonitorTick);
@@ -385,7 +323,7 @@ mod tests {
 
     #[test]
     fn scheduling_at_now_is_allowed() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         q.schedule(secs(2), Event::MonitorTick);
         q.pop();
         q.schedule(secs(2), Event::ReactiveTick);
@@ -394,7 +332,7 @@ mod tests {
 
     #[test]
     fn len_and_empty() {
-        let mut q = EventQueue::new();
+        let mut q = SlabEventQueue::new();
         assert!(q.is_empty());
         q.schedule(secs(1), Event::MonitorTick);
         assert_eq!(q.len(), 1);
@@ -407,13 +345,17 @@ mod tests {
     /// arrivals load, same-instant arrivals, and dynamic events scheduled
     /// while draining (some into the future, some at `now`), exercising
     /// every tie between the arrival cursor and the heap.
-    fn drive(q: &mut EngineQueue) -> Vec<(SimTime, Event)> {
+    fn drive(q: &mut impl Engine) -> Vec<(SimTime, Event)> {
         q.schedule(SimTime::ZERO, Event::ContainerWarm { container: 0 });
         q.schedule(
             SimTime::from_millis(100),
             Event::ContainerWarm { container: 1 },
         );
-        q.load_arrivals((0..40u64).map(|j| SimTime::from_millis(100 * (j / 4))));
+        q.load_arrivals(
+            (0..40u64)
+                .map(|j| SimTime::from_millis(100 * (j / 4)))
+                .collect(),
+        );
         q.schedule(SimTime::from_millis(250), Event::ReactiveTick);
         q.schedule(SimTime::from_millis(500), Event::MonitorTick);
         q.schedule(SimTime::from_millis(700), Event::NodeDown { node: 1 });
@@ -446,10 +388,74 @@ mod tests {
 
     #[test]
     fn slab_commit_order_is_bit_identical_to_reference() {
-        let reference = drive(&mut EngineQueue::Reference(EventQueue::new()));
-        let slab = drive(&mut EngineQueue::Slab(SlabEventQueue::new()));
+        let reference = drive(&mut OneHeapQueue::default());
+        let slab = drive(&mut SlabEventQueue::new());
         assert_eq!(reference.len(), 40 + 2 + 3 + 40 + 6 + 10);
         assert_eq!(slab, reference);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+        /// Random interleavings of schedules (at `now` and on coarse 10 ms
+        /// instants, so same-instant ties with each other and with
+        /// arrivals are common), one arrival load at a random point before
+        /// the first pop, and pops: the slab engine pops exactly what the
+        /// one-heap oracle pops, with the same pending count after every
+        /// step, until both drain.
+        #[test]
+        fn slab_pops_what_the_one_heap_oracle_pops(
+            before in proptest::collection::vec((0u8..4, 0u64..5), 0..12),
+            gaps in proptest::collection::vec(0u64..4, 0..40),
+            ops in proptest::collection::vec((0u8..5, 0u64..5), 0..160),
+        ) {
+            let mut slab = SlabEventQueue::new();
+            let mut oracle = OneHeapQueue::default();
+            let mut tag = 0u64;
+            let mut schedule = |slab: &mut SlabEventQueue, oracle: &mut OneHeapQueue, ticks: u64| {
+                let at = slab.now() + SimDuration::from_millis(10 * ticks);
+                let event = Event::TaskFinish { container: tag };
+                tag += 1;
+                slab.schedule(at, event);
+                oracle.schedule(at, event);
+            };
+            let arrivals: Vec<SimTime> = gaps
+                .iter()
+                .scan(0u64, |t, &g| {
+                    *t += g;
+                    Some(SimTime::from_millis(10 * *t))
+                })
+                .collect();
+            let mut loaded = false;
+            // before the first pop: schedules, and the load wherever it falls
+            for &(kind, ticks) in &before {
+                if kind == 0 && !loaded {
+                    slab.load_arrivals(arrivals.clone());
+                    oracle.load_arrivals(arrivals.clone());
+                    loaded = true;
+                } else {
+                    schedule(&mut slab, &mut oracle, ticks);
+                }
+                assert_eq!(slab.len(), oracle.len());
+            }
+            if !loaded {
+                slab.load_arrivals(arrivals.clone());
+                oracle.load_arrivals(arrivals.clone());
+                assert_eq!(slab.len(), oracle.len());
+            }
+            for (step, &(kind, ticks)) in ops.iter().enumerate() {
+                if kind < 2 {
+                    schedule(&mut slab, &mut oracle, ticks);
+                } else {
+                    assert_eq!(slab.pop(), oracle.pop(), "pop at step {step}");
+                }
+                assert_eq!(slab.len(), oracle.len(), "len after step {step}");
+            }
+            while let Some(next) = oracle.pop() {
+                assert_eq!(slab.pop(), Some(next));
+                assert_eq!(slab.len(), oracle.len());
+            }
+            assert_eq!(slab.pop(), None);
+        }
     }
 
     #[test]
@@ -484,15 +490,6 @@ mod tests {
                 Event::MonitorTick
             ]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn slab_rejects_scheduling_into_the_past() {
-        let mut q = SlabEventQueue::new();
-        q.schedule(secs(5), Event::MonitorTick);
-        q.pop();
-        q.schedule(secs(1), Event::ReactiveTick);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! crate is that simulator, rebuilt from scratch:
 //!
 //! * [`engine`] — the event engine (an arrival slab plus one heap) and
-//!   its bit-identical one-heap reference, and the simulation clock,
+//!   the simulation clock,
 //! * [`config`] — simulation parameters (Tables 1–2 defaults),
 //! * [`cluster`] — nodes, CPU/memory accounting and the greedy
 //!   bin-packing node selection (§4.4.2),

@@ -159,14 +159,25 @@ impl SimResult {
         s
     }
 
+    /// End-to-end latency of every record in ms: the one sample vector
+    /// the latency percentiles read, where
+    /// [`breakdown_summary`](Self::breakdown_summary) builds four.
+    fn latency_samples(&self) -> fifer_metrics::percentile::Samples {
+        let mut samples = fifer_metrics::percentile::Samples::with_capacity(self.records.len());
+        for r in &self.records {
+            samples.push(r.breakdown.total().as_millis_f64());
+        }
+        samples
+    }
+
     /// Median end-to-end latency in ms.
     pub fn median_latency_ms(&self) -> f64 {
-        self.breakdown_summary().total_percentile_ms(50.0)
+        self.latency_samples().percentile(50.0)
     }
 
     /// P99 end-to-end latency in ms.
     pub fn p99_latency_ms(&self) -> f64 {
-        self.breakdown_summary().total_percentile_ms(99.0)
+        self.latency_samples().percentile(99.0)
     }
 
     /// Mean requests-per-container across stages (weighted by containers).
@@ -496,11 +507,12 @@ pub struct Headline {
 impl SimResult {
     /// Computes the headline scalar summary.
     pub fn headline(&self) -> Headline {
+        let mut latency = self.latency_samples();
         Headline {
             slo_violations: self.slo_violation_fraction(),
             avg_containers: self.avg_live_containers(),
-            median_ms: self.median_latency_ms(),
-            p99_ms: self.p99_latency_ms(),
+            median_ms: latency.percentile(50.0),
+            p99_ms: latency.percentile(99.0),
             cold_starts: self.total_spawns,
             energy_joules: self.energy_joules,
         }

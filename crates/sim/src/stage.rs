@@ -10,14 +10,17 @@
 //! The queue is an [`IndexedTaskQueue`]: the scheduling policy's dispatch
 //! key ([`QueuedTask::priority_key`]) is computed once at enqueue — every
 //! policy's key is clock-independent — and tasks live in a slab indexed by
-//! two lazy-deletion binary heaps, one in key order (for `pop`) and one in
-//! arrival order (for the load monitor's oldest-pending-age signal). Both
-//! `pop` and the age query are O(log n) amortized where the seed scanned
-//! the whole queue per dispatched task. Each heap holds at most
-//! `2 · len + STALE_SLACK` entries: a heap that outgrows that bound is
-//! compacted to its live entries. Compaction keeps the heaps' capacity,
+//! two binary heaps, one in key order (for `pop`) and one in arrival order
+//! (for the load monitor's oldest-pending-age signal). Both `pop` and the
+//! age query are O(log n) amortized where the seed scanned the whole queue
+//! per dispatched task. Tasks leave only by `pop`, so the key heap holds
+//! exactly the queued tasks; the arrival heap deletes lazily and holds at
+//! most `2 · len + STALE_SLACK` entries: once it outgrows that bound it is
+//! compacted to its live entries. Compaction keeps the heap's capacity,
 //! so a queue's memory is bounded by its peak live backlog, not by every
-//! task it ever held.
+//! task it ever held. The reference linear-scan scheduler
+//! ([`select_task_iter`](fifer_core::scheduling::select_task_iter)) is the
+//! auditor's oracle for the pop order (`audit` module).
 
 use fifer_core::resources::ResourceVec;
 use fifer_core::scheduling::{ContainerSelection, QueuedTask, SchedulingPolicy};
@@ -68,55 +71,47 @@ impl StageTask {
     }
 }
 
-/// Stale entries an [`IndexedTaskQueue`] heap may hold beyond twice its
-/// live count before it is compacted. Keeps compaction off small queues,
-/// where the stale entries cost less than the rebuild.
+/// Stale entries the arrival-order heap of an [`IndexedTaskQueue`] may
+/// hold beyond twice the live count before it is compacted. Keeps
+/// compaction off small queues, where the stale entries cost less than
+/// the rebuild.
 const STALE_SLACK: usize = 32;
-
-/// Stable handle to a task inside an [`IndexedTaskQueue`]. Valid until the
-/// task is popped or removed; a stale handle is detected (the slot's
-/// generation stamp no longer matches) and `remove` returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskRef {
-    slot: u32,
-    seq: u64,
-}
 
 /// A policy-keyed indexed priority queue of [`StageTask`]s.
 ///
-/// Layout: a slab of `(generation, task)` slots with a free list, plus two
+/// Layout: a slab of `(seq, task)` slots with a free list, plus two
 /// `BinaryHeap`s of `Reverse<(key, seq, slot)>` entries — one keyed by the
-/// policy's dispatch key, one by arrival time. Taking a task out (by `pop`
-/// or `remove`) clears only its slab slot; the heap entries it leaves
-/// behind are stale (their generation stamp no longer matches the slab)
-/// and are discarded when they surface at the top.
+/// policy's dispatch key, one by arrival time. Tasks leave only through
+/// [`pop`](Self::pop), which takes the top of the dispatch heap, so every
+/// dispatch-heap entry is live. The arrival-order entry the popped task
+/// leaves behind is stale (its `seq` no longer matches the slot) and is
+/// discarded when it surfaces at the top of the arrival heap.
 ///
-/// Stale entries that never surface — `by_age` is only read on reactive
-/// ticks, and under LSF stale `by_key` entries pile up behind the oldest
-/// live task — are bounded: whenever a take leaves a heap holding more
-/// than `2 · len + STALE_SLACK` entries, that heap is compacted to its
-/// live entries (its capacity is kept, so memory is bounded by the peak
-/// live backlog). Each compaction costs O(heap) and follows at least
-/// `(heap + STALE_SLACK) / 2` takes since the previous one, so it is O(1)
-/// amortized per take. The `seq` component makes every heap entry unique,
+/// Stale arrival entries that never surface — the heap is only read on
+/// reactive ticks, and under LSF or EDF tasks leave out of arrival order —
+/// are bounded: whenever a pop leaves the arrival heap holding more than
+/// `2 · len + STALE_SLACK` entries, it is compacted to its live entries
+/// (its capacity is kept, so memory is bounded by the peak live backlog).
+/// Each compaction costs O(heap) and follows at least
+/// `(heap + STALE_SLACK) / 2` pops since the previous one, so it is O(1)
+/// amortized per pop. The `seq` component makes every heap entry unique,
 /// so neither compaction nor the heap's internal layout ever affects which
 /// task wins — ordering is exactly the lexicographic key.
 #[derive(Debug, Clone)]
 pub struct IndexedTaskQueue {
     policy: SchedulingPolicy,
-    /// Slot -> (generation stamp, task). `None` = free slot.
+    /// Slot -> (insert seq, task). `None` = free slot.
     slots: Vec<Option<(u64, StageTask)>>,
     /// Free slot indices available for reuse.
     free: Vec<u32>,
-    /// Monotonic insert counter; doubles as the generation stamp.
+    /// Monotonic insert counter; stamps each slot's occupant.
     next_seq: u64,
-    /// Live task count (heaps may hold up to `len + STALE_SLACK` more,
-    /// stale, entries each).
-    len: usize,
-    /// Dispatch order: min-heap of (policy key, seq, slot).
+    /// Dispatch order: min-heap of (policy key, seq, slot), one live entry
+    /// per queued task.
     by_key: BinaryHeap<Reverse<([u64; 3], u64, u32)>>,
     /// Arrival order: min-heap of (enqueued µs, seq, slot) for the load
-    /// monitor's oldest-pending query.
+    /// monitor's oldest-pending query; may hold up to `len + STALE_SLACK`
+    /// stale entries.
     by_age: BinaryHeap<Reverse<(u64, u64, u32)>>,
 }
 
@@ -128,7 +123,6 @@ impl IndexedTaskQueue {
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            len: 0,
             by_key: BinaryHeap::new(),
             by_age: BinaryHeap::new(),
         }
@@ -139,18 +133,18 @@ impl IndexedTaskQueue {
         self.policy
     }
 
-    /// Number of live tasks.
+    /// Number of queued tasks.
     pub fn len(&self) -> usize {
-        self.len
+        self.by_key.len()
     }
 
     /// `true` when no task is pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.by_key.is_empty()
     }
 
     /// Inserts a task, keying it once; O(log n).
-    pub fn push(&mut self, task: StageTask) -> TaskRef {
+    pub fn push(&mut self, task: StageTask) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let slot = match self.free.pop() {
@@ -168,25 +162,25 @@ impl IndexedTaskQueue {
         self.by_key.push(Reverse((key, seq, slot)));
         self.by_age
             .push(Reverse((task.enqueued.as_micros(), seq, slot)));
-        self.len += 1;
-        TaskRef { slot, seq }
+    }
+
+    /// The policy-minimum task, the one [`pop`](Self::pop) would return.
+    pub fn peek(&self) -> Option<&StageTask> {
+        self.by_key
+            .peek()
+            .map(|&Reverse((_, _, slot))| self.live_task(slot))
     }
 
     /// Removes and returns the policy-minimum task; O(log n) amortized.
     pub fn pop(&mut self) -> Option<StageTask> {
-        while let Some(Reverse((_, seq, slot))) = self.by_key.pop() {
-            if let Some(task) = self.take_if_live(slot, seq) {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Removes the task behind `r`, or `None` if it already left the queue.
-    pub fn remove(&mut self, r: TaskRef) -> Option<StageTask> {
-        // the matching by_key/by_age entries stay behind as stale: skipped
-        // when they reach the top of their heap, or dropped by compaction
-        self.take_if_live(r.slot, r.seq)
+        let Reverse((_, _, slot)) = self.by_key.pop()?;
+        let task = *self.live_task(slot);
+        self.slots[slot as usize] = None;
+        self.free.push(slot);
+        // the task's by_age entry stays behind as stale: skipped when it
+        // reaches the top of the heap, or dropped by compaction
+        self.compact_stale_ages();
+        Some(task)
     }
 
     /// Enqueue time of the oldest pending task; O(log n) amortized (stale
@@ -205,49 +199,29 @@ impl IndexedTaskQueue {
         None
     }
 
-    /// Iterates live tasks in slab order with their handles — the view the
-    /// reference scheduler path scans.
-    pub fn iter(&self) -> impl Iterator<Item = (TaskRef, &StageTask)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(slot, s)| {
-            s.as_ref().map(|(seq, task)| {
-                (
-                    TaskRef {
-                        slot: slot as u32,
-                        seq: *seq,
-                    },
-                    task,
-                )
-            })
-        })
+    /// Iterates the queued tasks in slab order — the view the auditor's
+    /// reference scheduler scans.
+    pub fn iter(&self) -> impl Iterator<Item = &StageTask> + '_ {
+        self.slots.iter().flatten().map(|(_, task)| task)
     }
 
-    fn take_if_live(&mut self, slot: u32, seq: u64) -> Option<StageTask> {
-        match self.slots[slot as usize] {
-            Some((live_seq, task)) if live_seq == seq => {
-                self.slots[slot as usize] = None;
-                self.free.push(slot);
-                self.len -= 1;
-                self.compact_stale();
-                Some(task)
-            }
-            _ => None,
-        }
+    /// The task in `slot`, which a dispatch-heap entry names.
+    fn live_task(&self, slot: u32) -> &StageTask {
+        let (_, task) = self.slots[slot as usize]
+            .as_ref()
+            .expect("every dispatch-heap entry is live");
+        task
     }
 
-    /// Drops every stale entry from a heap that holds more than
-    /// `2 · len + STALE_SLACK` entries (O(1) amortized per take; see the
-    /// type docs).
-    fn compact_stale(&mut self) {
-        let bound = 2 * self.len + STALE_SLACK;
-        let slots = &self.slots;
-        let live = |seq: u64, slot: u32| matches!(slots[slot as usize], Some((s, _)) if s == seq);
-        if self.by_key.len() > bound {
-            self.by_key
-                .retain(|&Reverse((_, seq, slot))| live(seq, slot));
-        }
-        if self.by_age.len() > bound {
-            self.by_age
-                .retain(|&Reverse((_, seq, slot))| live(seq, slot));
+    /// Drops every stale entry from the arrival heap once it holds more
+    /// than `2 · len + STALE_SLACK` entries (O(1) amortized per pop; see
+    /// the type docs).
+    fn compact_stale_ages(&mut self) {
+        if self.by_age.len() > 2 * self.len() + STALE_SLACK {
+            let slots = &self.slots;
+            self.by_age.retain(
+                |&Reverse((_, seq, slot))| matches!(slots[slot as usize], Some((s, _)) if s == seq),
+            );
         }
     }
 }
@@ -937,47 +911,35 @@ mod tests {
     }
 
     #[test]
-    fn remove_by_ref_and_stale_handles() {
-        let mut q = IndexedTaskQueue::new(SchedulingPolicy::Fifo);
-        let r1 = q.push(task(1, 10, 1000, 100));
-        let _r2 = q.push(task(2, 20, 1000, 100));
-        assert_eq!(q.remove(r1).map(|t| t.job), Some(1));
-        assert_eq!(q.remove(r1), None, "second removal must miss");
-        assert_eq!(q.len(), 1);
-        // slot reuse must not resurrect the stale handle
-        let _r3 = q.push(task(3, 5, 1000, 100));
-        assert_eq!(q.remove(r1), None);
-        assert_eq!(q.pop().map(|t| t.job), Some(3));
-        assert_eq!(q.pop().map(|t| t.job), Some(2));
-    }
-
-    #[test]
-    fn oldest_enqueued_tracks_removals() {
+    fn oldest_enqueued_tracks_pops() {
         let mut q = IndexedTaskQueue::new(SchedulingPolicy::Lsf);
-        let r1 = q.push(task(1, 10, 5000, 100));
+        q.push(task(1, 10, 5000, 100));
         q.push(task(2, 20, 300, 100));
         assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(10)));
         // job 2 pops first under LSF; oldest is still job 1
         assert_eq!(q.pop().map(|t| t.job), Some(2));
         assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(10)));
-        q.remove(r1).expect("live");
+        assert_eq!(q.pop().map(|t| t.job), Some(1));
         assert_eq!(q.oldest_enqueued(), None);
     }
 
     #[test]
-    fn iter_yields_live_tasks_with_valid_handles() {
+    fn peek_and_iter_see_the_queued_tasks() {
         let mut q = IndexedTaskQueue::new(SchedulingPolicy::Fifo);
+        assert_eq!(q.peek(), None);
         q.push(task(1, 10, 1000, 100));
-        let r2 = q.push(task(2, 20, 1000, 100));
+        q.push(task(2, 20, 1000, 100));
         q.push(task(3, 30, 1000, 100));
-        q.remove(r2).expect("live");
-        let jobs: Vec<usize> = q.iter().map(|(_, t)| t.job).collect();
-        assert_eq!(jobs, vec![1, 3]);
-        let handles: Vec<TaskRef> = q.iter().map(|(r, _)| r).collect();
-        for (r, job) in handles.into_iter().zip([1usize, 3]) {
-            assert_eq!(q.remove(r).map(|t| t.job), Some(job));
-        }
-        assert!(q.is_empty());
+        assert_eq!(q.peek().map(|t| t.job), Some(1));
+        assert_eq!(q.pop().map(|t| t.job), Some(1));
+        assert_eq!(q.peek().map(|t| t.job), Some(2));
+        let mut jobs: Vec<usize> = q.iter().map(|t| t.job).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, vec![2, 3]);
+        // slot reuse must not resurrect the popped task's age entry
+        q.push(task(4, 40, 1000, 100));
+        assert_eq!(q.oldest_enqueued(), Some(SimTime::from_millis(20)));
+        assert_eq!(q.iter().count(), 3);
     }
 
     /// Differential test: under every policy, a run of randomized
@@ -1001,15 +963,15 @@ mod tests {
                         rng.gen_range(10u64..500),
                     ));
                 } else {
-                    let view: Vec<(TaskRef, QueuedTask)> =
-                        q.iter().map(|(r, t)| (r, t.as_queued())).collect();
+                    let view: Vec<QueuedTask> = q.iter().map(StageTask::as_queued).collect();
                     let ti = select_task_iter(
                         policy,
-                        view.iter().enumerate().map(|(i, (_, t))| (i, *t)),
+                        view.iter().copied().enumerate(),
                         SimTime::from_millis(clock_ms),
                     )
                     .expect("non-empty");
-                    let expect = view[ti].1.job_id;
+                    let expect = view[ti].job_id;
+                    assert_eq!(q.peek().map(|t| t.job as u64), Some(expect));
                     assert_eq!(
                         q.pop().map(|t| t.job as u64),
                         Some(expect),
@@ -1021,75 +983,66 @@ mod tests {
     }
 
     /// Asserts `q` answers like a brute-force scan over `live`, the tasks
-    /// the model says are queued, and that both heaps respect the
+    /// the model says are queued, and that the arrival heap respects the
     /// compaction bound. The age query runs on a clone, so checking never
     /// discards stale entries the queue under test would otherwise keep.
-    fn assert_queue_matches_model(
-        q: &IndexedTaskQueue,
-        live: &[(TaskRef, StageTask)],
-        step: usize,
-    ) {
+    fn assert_queue_matches_model(q: &IndexedTaskQueue, live: &[StageTask], step: usize) {
         let policy = q.policy();
         assert_eq!(q.len(), live.len(), "{policy:?}: length after step {step}");
-        let bound = 2 * q.len() + STALE_SLACK;
-        assert!(
-            q.by_key.len() <= bound && q.by_age.len() <= bound,
-            "{policy:?}: heaps hold {}/{} entries for {} live tasks after step {step}",
+        assert_eq!(
             q.by_key.len(),
+            q.len(),
+            "{policy:?}: dispatch heap after step {step}"
+        );
+        assert!(
+            q.by_age.len() <= 2 * q.len() + STALE_SLACK,
+            "{policy:?}: arrival heap holds {} entries for {} live tasks after step {step}",
             q.by_age.len(),
             q.len()
         );
         assert_eq!(
             q.clone().oldest_enqueued(),
-            live.iter().map(|(_, t)| t.enqueued).min(),
+            live.iter().map(|t| t.enqueued).min(),
             "{policy:?}: oldest pending task after step {step}"
         );
     }
 
     proptest::proptest! {
-        /// Random push / pop / remove / age-query sequences under every
-        /// policy, long enough to cross the compaction bound many times:
-        /// after every step the queue's pops and oldest-pending answers
-        /// match a brute-force scan over the live tasks, and neither heap
-        /// holds more than `2 · len + STALE_SLACK` entries.
+        /// Random push / pop / age-query sequences under every policy,
+        /// long enough to cross the compaction bound many times: after
+        /// every step the queue's pops and oldest-pending answers match a
+        /// brute-force scan over the live tasks, and the arrival heap holds
+        /// no more than `2 · len + STALE_SLACK` entries.
         #[test]
         fn task_queue_agrees_with_brute_force_oracle(
             policy in 0usize..3,
-            ops in proptest::collection::vec((0u8..8, 0u64..400, 0u64..2_000), 200..1_500),
+            ops in proptest::collection::vec((0u8..7, 0u64..400, 0u64..2_000), 200..1_500),
         ) {
             let policy = SchedulingPolicy::ALL[policy];
             let mut q = IndexedTaskQueue::new(policy);
-            let mut live: Vec<(TaskRef, StageTask)> = Vec::new();
-            let mut handles: Vec<TaskRef> = Vec::new();
+            let mut live: Vec<StageTask> = Vec::new();
             for (step, &(kind, a, b)) in ops.iter().enumerate() {
                 match kind {
                     // push: unique job ids make every policy key unique
                     0..=2 => {
                         let t = task(step, a, a + b, b / 4);
-                        let r = q.push(t);
-                        live.push((r, t));
-                        handles.push(r);
+                        q.push(t);
+                        live.push(t);
                     }
                     3..=5 => {
                         let expect = select_task_iter(
                             policy,
-                            live.iter().enumerate().map(|(i, (_, t))| (i, t.as_queued())),
+                            live.iter().map(StageTask::as_queued).enumerate(),
                             SimTime::ZERO,
                         );
                         let got = q.pop();
                         match expect {
-                            Some(i) => assert_eq!(got, Some(live.remove(i).1), "{policy:?}: pop at step {step}"),
+                            Some(i) => assert_eq!(got, Some(live.remove(i)), "{policy:?}: pop at step {step}"),
                             None => assert_eq!(got, None, "{policy:?}: pop from an empty queue"),
                         }
                     }
-                    // remove through any handle ever returned, stale ones too
-                    6 if !handles.is_empty() => {
-                        let r = handles[a as usize % handles.len()];
-                        let expect = live.iter().position(|(lr, _)| *lr == r).map(|i| live.remove(i).1);
-                        assert_eq!(q.remove(r), expect, "{policy:?}: remove at step {step}");
-                    }
                     _ => {
-                        let expect = live.iter().map(|(_, t)| t.enqueued).min();
+                        let expect = live.iter().map(|t| t.enqueued).min();
                         assert_eq!(q.oldest_enqueued(), expect, "{policy:?}: age query at step {step}");
                     }
                 }

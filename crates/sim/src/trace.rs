@@ -10,10 +10,10 @@
 //! totals even after the ring wraps.
 //!
 //! Every recorded event carries a **global sequence number** assigned at
-//! commit time from one monotonic counter. Because both event engines
-//! commit events in the same `(time, seq)` total order, the sequence
-//! numbers — and therefore the JSONL export — are identical on the
-//! default and the reference engine.
+//! commit time from one monotonic counter. Because the default run and
+//! the serial-engine reference run commit events in the same
+//! `(time, seq)` total order, the sequence numbers — and therefore the
+//! JSONL export — are identical on both.
 //!
 //! Tracing is configured via [`TraceConfig`] on
 //! [`SimConfig`](crate::config::SimConfig) and is zero-cost when disabled:

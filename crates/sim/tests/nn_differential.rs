@@ -1,7 +1,10 @@
 //! Differential tests for the two NN implementations: the flat-workspace
-//! prediction stack (`use_reference_nn = false`, the default) must replay
-//! the original per-step-allocating implementation exactly — byte-identical
-//! pre-trained weights, forecasts, decision traces and headline results.
+//! prediction stack (the default) must replay the original
+//! per-step-allocating implementation exactly — byte-identical pre-trained
+//! weights, forecasts, decision traces and headline results. The reference
+//! run injects a policy built on the reference NN path
+//! (`RmConfig::build_rm_with(.., true)`) through
+//! `Simulation::with_resource_manager`.
 //! The accumulation order of every kernel is preserved, so equality here
 //! is `==` on floats, not a tolerance.
 
@@ -31,6 +34,17 @@ fn pretrain_series() -> Vec<f64> {
         .collect()
 }
 
+/// The optimized run goes through the registry as usual; the reference
+/// run injects a policy whose predictor runs the reference NN path.
+fn simulation(cfg: SimConfig, s: &JobStream, reference: bool) -> Simulation<'_> {
+    if reference {
+        let rm = cfg.rm.build_rm_with(cfg.seed, &cfg.pretrain_series, true);
+        Simulation::with_resource_manager(cfg, s, rm)
+    } else {
+        Simulation::new(cfg, s)
+    }
+}
+
 /// Fifer drives its proactive scaling through the pre-trained LSTM; with
 /// the same seed the optimized and reference NN paths must produce the
 /// same run down to the last decision-trace event.
@@ -40,9 +54,8 @@ fn fifer_run_is_bit_identical_across_nn_paths() {
     let run = |reference: bool| {
         let mut cfg = SimConfig::prototype(RmKind::Fifer.config(), 5.0);
         cfg.pretrain_series = pretrain_series();
-        cfg.use_reference_nn = reference;
         cfg.trace.capacity = 100_000;
-        Simulation::new(cfg, &s).run_with_trace()
+        simulation(cfg, &s, reference).run_with_trace()
     };
     let (opt, opt_trace) = run(false);
     let (reference, ref_trace) = run(true);
@@ -59,7 +72,7 @@ fn fifer_run_is_bit_identical_across_nn_paths() {
 }
 
 /// The same equivalence holds for every RM kind — the classical-predictor
-/// RMs ignore the flag, the neural ones must be unaffected by it.
+/// RMs have no NN path, the neural ones must be unaffected by the choice.
 #[test]
 fn all_rm_headlines_are_identical_across_nn_paths() {
     let s = stream(4.0, 30, 23);
@@ -67,8 +80,7 @@ fn all_rm_headlines_are_identical_across_nn_paths() {
         let run = |reference: bool| {
             let mut cfg = SimConfig::prototype(kind.config(), 4.0);
             cfg.pretrain_series = pretrain_series();
-            cfg.use_reference_nn = reference;
-            Simulation::new(cfg, &s).run().to_json()
+            simulation(cfg, &s, reference).run().to_json()
         };
         assert_eq!(
             run(false),

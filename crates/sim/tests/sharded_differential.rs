@@ -1,10 +1,11 @@
-//! Differential tests for the event engine: the default arrival-slab
-//! engine (`use_serial_engine = false`) must replay the reference one-heap
-//! engine exactly — byte-identical headline JSON, decision-trace JSONL
-//! (including the global sequence numbers) and audit outcomes — for every
-//! resource manager, with and without injected faults. Both engines
-//! commit events in one global `(time, seq)` total order, so equality
-//! here is byte equality on the serialized artifacts, not a tolerance.
+//! Differential tests for the event engine: the default arrival-slab run
+//! (`use_serial_engine = false`) must replay the serial reference run,
+//! which schedules each arrival into the event heap, exactly —
+//! byte-identical headline JSON, decision-trace JSONL (including the
+//! global sequence numbers) and audit outcomes — for every resource
+//! manager, with and without injected faults. Both commit events in one
+//! global `(time, seq)` total order, so equality here is byte equality on
+//! the serialized artifacts, not a tolerance.
 //!
 //! (The file keeps its historical name: it once compared sharded engines
 //! against the serial one, and the benchmark docs cite its 50k-core

@@ -93,8 +93,8 @@ fn usage() -> ! {
          --online-retrain                          keep fine-tuning the neural predictor on the\n\
                                                    observed rate tail during the run (paper §8)\n\
          --audit                                   run the invariant auditor at every event commit\n\
-         --serial-engine                           use the reference one-heap event engine\n\
-                                                   (bit-identical results, slower)"
+         --serial-engine                           schedule each arrival into the event heap\n\
+                                                   (reference run: bit-identical, slower)"
     );
     exit(2)
 }
@@ -406,27 +406,28 @@ fn main() {
                 exit(1);
             }
         }
+        let h = r.headline();
         println!(
             "{:>7}  {:>10.2}  {:>8.2}  {:>10.1}  {:>9.0}  {:>8.0}  {:>7}  {:>9.1}",
             kind.to_string(),
             r.slo_whole_run.violation_fraction() * 100.0,
-            r.slo_violation_fraction() * 100.0,
-            r.avg_live_containers(),
-            r.median_latency_ms(),
-            r.p99_latency_ms(),
-            r.total_spawns,
-            r.energy_joules / 1e3,
+            h.slo_violations * 100.0,
+            h.avg_containers,
+            h.median_ms,
+            h.p99_ms,
+            h.cold_starts,
+            h.energy_joules / 1e3,
         );
         csv.push_str(&format!(
             "{},{:.6},{:.6},{:.2},{:.1},{:.1},{},{:.1}\n",
             kind,
             r.slo_whole_run.violation_fraction(),
-            r.slo_violation_fraction(),
-            r.avg_live_containers(),
-            r.median_latency_ms(),
-            r.p99_latency_ms(),
-            r.total_spawns,
-            r.energy_joules / 1e3,
+            h.slo_violations,
+            h.avg_containers,
+            h.median_ms,
+            h.p99_ms,
+            h.cold_starts,
+            h.energy_joules / 1e3,
         ));
         println!(
             "         utilization: {:.2} core-h allocated, {:.2} used, {:.2} wasted{}",
